@@ -10,7 +10,6 @@ dispersion of a polarizability phase.
 from .beam import BeamModel, VelocitySupport, default_support, velocity_pdf
 from .compensation import (
     CompensationPlan,
-    TuningError,
     extract_alpha_compensated,
     residual_dispersion,
     tune_counterphase,

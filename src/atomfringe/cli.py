@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beam import BeamModel
+from .beam import BeamModel, VelocitySupport, default_support
 from .compensation import residual_dispersion, tune_counterphase
 from .fitkit import (
     ModelContext,
@@ -100,10 +100,13 @@ class RunConfig:
         return ModelContext(
             beam_u=self.beam.u,
             sagnac_amplitude_at_mean=amp,
-            v0=1.0,
             width_sigmas=self.width_sigmas,
             node_count=self.node_count,
         )
+
+    def support(self, beam: BeamModel) -> VelocitySupport:
+        """The configured averaging window and node count for beam."""
+        return default_support(beam, self.width_sigmas, self.node_count)
 
     def stark_coefficient(self) -> float:
         """rad/V^2 of the configured polarizability, 0 when alpha unset.
@@ -248,16 +251,10 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> Observatio
 
     observations = []
     for volt in design.voltages:
-        sag_i = sag_nominal
+        point_ctx = ctx
         if jitter > 0.0:
             sag_i = sag_nominal + amp_per_rate * rng.normal(0.0, jitter)
-        point_ctx = ModelContext(
-            beam_u=ctx.beam_u,
-            sagnac_amplitude_at_mean=sag_i,
-            v0=ctx.v0,
-            width_sigmas=ctx.width_sigmas,
-            node_count=ctx.node_count,
-        )
+            point_ctx = replace(ctx, sagnac_amplitude_at_mean=sag_i)
         phases, ratios = model_curve(beam.s_parallel, coeff, (volt,), point_ctx)
         phase_true, vis_true = float(phases[0]), float(ratios[0])
 
@@ -275,14 +272,7 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> Observatio
                 vis_sigma=design.vis_sigma if design.vis_sigma > 0.0 else 1.0,
             )
         )
-    return ObservationSet(
-        observations=tuple(observations),
-        beam_u=beam.u,
-        sagnac_amplitude_at_mean=sag_nominal,
-        v0=1.0,
-        width_sigmas=config.width_sigmas,
-        node_count=config.node_count,
-    )
+    return ObservationSet(tuple(observations), ctx)
 
 
 def read_observations(path: str) -> tuple[Observation, ...]:
@@ -333,19 +323,12 @@ def read_observations(path: str) -> tuple[Observation, ...]:
 
 
 def write_observations(path: str, observations) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OBSERVATION_HEADER)
-        for o in observations:
-            writer.writerow(
-                [
-                    _fmt(o.voltage_U),
-                    _fmt(o.phase_meas),
-                    _fmt(o.phase_sigma),
-                    _fmt(o.vis_ratio),
-                    _fmt(o.vis_sigma),
-                ]
-            )
+    """Write an observation CSV ('-' for stdout)."""
+    rows = (
+        (o.voltage_U, o.phase_meas, o.phase_sigma, o.vis_ratio, o.vis_sigma)
+        for o in observations
+    )
+    _write_csv(path, OBSERVATION_HEADER, rows)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -420,23 +403,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = load_config(args.config)
-    include = config.include_sagnac
     if args.sagnac is not None:
-        include = args.sagnac == "on"
-    sag_amp = (
-        sagnac_earth_term(config.geometry, config.beam).amplitude_at_mean
-        if include
-        else 0.0
-    )
+        config = replace(config, include_sagnac=args.sagnac == "on")
+    ctx = config.model_context()
     observations = read_observations(args.obs)
-    obs_set = ObservationSet(
-        observations=observations,
-        beam_u=config.beam.u,
-        sagnac_amplitude_at_mean=sag_amp,
-        v0=1.0,
-        width_sigmas=config.width_sigmas,
-        node_count=config.node_count,
-    )
+    obs_set = ObservationSet(observations, ctx)
     result = fit(
         obs_set,
         max_iterations=config.max_iterations,
@@ -458,8 +429,8 @@ def _cmd_fit(args) -> int:
         "n_observations": len(observations),
         "converged": result.converged,
         "iterations": result.iterations,
-        "include_sagnac": include,
-        "sagnac_amplitude_rad": sag_amp,
+        "include_sagnac": config.include_sagnac,
+        "sagnac_amplitude_rad": ctx.sagnac_amplitude_at_mean,
         "residuals": [
             {
                 "U_volts": float(o.voltage_U),
@@ -470,6 +441,13 @@ def _cmd_fit(args) -> int:
         ],
     }
     _write_json(args.out, payload)
+    if not result.converged:
+        print(
+            f"error: fit did not converge (max_iterations = "
+            f"{config.max_iterations}); the report has no sigmas",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -489,8 +467,8 @@ def _cmd_tune(args) -> int:
         pol,
         config.beam,
         config.geometry,
-        tolerance=args.tolerance,
         prism=config.prism,
+        support=config.support(config.beam),
     )
     payload = {"pol_amplitude_rad": pol.amplitude_at_mean, **plan.to_report()}
     _write_json(args.out, payload)
@@ -508,10 +486,11 @@ def _cmd_residual(args) -> int:
         # keep on-mean cancellation: v1 completes each v2 to -pol
         pairs = [(-args.pol_amplitude - a2, a2) for a2 in v2_list]
     beam = config.beam
+    support = config.support(beam)
     rows = []
     for a1, a2 in pairs:
         counter = roberts_term(RobertsCounterphase(v1_amplitude=a1, v2_amplitude=a2))
-        resid, vis = residual_dispersion(counter, pol, beam)
+        resid, vis = residual_dispersion(counter, pol, beam, support)
         rows.append((a1, a2, resid, vis))
     _write_csv(
         args.out,
@@ -564,7 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pol-amplitude", type=float, help="pol amplitude at v=u (rad)")
     group.add_argument("--voltage", type=float, help="capacitor voltage (needs alpha_m3)")
     p.add_argument("--config", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tune)
 

@@ -4,11 +4,11 @@ A polarizability phase scales as u/v, exactly like a Sagnac phase, so
 a rotation-type counterphase of opposite sign cancels it at every
 velocity at once: the fringe contrast survives arbitrarily large
 applied phases and the measurement reduces to velocity metrology on
-the moving mirrors.  This module tunes that counterphase (root search
-on the averaged total phase), quantifies what is left when the
-counterphase has the wrong velocity dependence (a Roberts-style
-u/v, (u/v)^2 mixture), and inverts a compensated measurement into a
-polarizability volume.
+the moving mirrors.  This module tunes that counterphase in closed
+form (minus the polarizability amplitude, checked by one velocity
+average), quantifies what is left when the counterphase has the wrong
+velocity dependence (a Roberts-style u/v, (u/v)^2 mixture), and
+inverts a compensated measurement into a polarizability volume.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .beam import BeamModel, VelocitySupport
-from .fringe import averaged_fringe, visibility_ratio
+from .fringe import averaged_fringe
 from .phase import (
     HBAR_J_S,
     VACUUM_PERMITTIVITY_F_PER_M,
@@ -33,16 +31,11 @@ from .phase import (
 )
 
 __all__ = [
-    "TuningError",
     "CompensationPlan",
     "tune_counterphase",
     "residual_dispersion",
     "extract_alpha_compensated",
 ]
-
-
-class TuningError(RuntimeError):
-    """Counterphase root search failed (no bracket or stalled)."""
 
 
 @dataclass(frozen=True)
@@ -69,133 +62,39 @@ class CompensationPlan:
         }
 
 
-def _brent_root(f, a, b, fa, fb, ytol, xtol=1e-14, max_iter=100):
-    """Brent-Dekker root of f on a sign-changing bracket [a, b].
-
-    Stops when |f| <= ytol or the bracket collapses; returns (x, f(x)).
-    """
-    if fa == 0.0:
-        return a, fa
-    if fb == 0.0:
-        return b, fb
-    if fa * fb > 0.0:
-        raise TuningError("root not bracketed")
-    c, fc = a, fa
-    d = e = b - a
-    eps = float(np.finfo(float).eps)
-    for _ in range(max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * eps * abs(b) + 0.5 * xtol
-        xm = 0.5 * (c - b)
-        if abs(fb) <= ytol or abs(xm) <= tol1:
-            return b, fb
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s  # secant
-                q = 1.0 - s
-            else:  # inverse quadratic
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
-        else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
-    return b, fb
-
-
 def tune_counterphase(
     pol_term: DispersivePhaseTerm,
     beam: BeamModel,
     geometry: InterferometerGeometry,
-    tolerance: float = 1e-9,
     *,
     prism: PrismGeometry = PrismGeometry(refractive_index_n=1.46),
-    v0: float = 1.0,
     support: VelocitySupport | None = None,
     max_travel: float = 20e-6,
 ) -> CompensationPlan:
     """Null the averaged total phase with a mirror-motion counterphase.
 
-    Seeds the search at the pointwise-cancellation amplitude (minus the
-    term's amplitude), where an exponent-1 term is cancelled at every
-    velocity; a bracketing Brent search then drives the velocity-averaged
-    phase of {pol, counter} below tolerance, which also covers cases
-    where the null is displaced from the seed.  The found amplitude is
-    converted to antisymmetric mirror velocities and the equivalent
-    Brewster-prism translation rate.
-
-    Raises TuningError when no sign change brackets the null.
+    A u/v counter of amplitude minus the term's amplitude cancels the
+    term at every velocity (a x + (-a) x is exactly 0 in floating
+    point), so the null needs no search.  One velocity average of
+    {pol, counter} reports the residual phase and the visibility at
+    the null; the counter amplitude is converted to antisymmetric
+    mirror velocities and the equivalent Brewster-prism translation
+    rate.
     """
     if pol_term.exponent != 1:
         raise ValueError("counterphase tuning assumes a u/v (exponent-1) term")
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-
-    def resid(a_c: float) -> float:
-        obs = averaged_fringe(
-            [pol_term, DispersivePhaseTerm(amplitude_at_mean=a_c, exponent=1)],
-            beam,
-            v0,
-            support,
-        )
-        return obs.phase_unwrapped
-
-    a0 = -pol_term.amplitude_at_mean
-    r0 = resid(a0)
-    if abs(r0) <= tolerance:
-        a_best, r_best = a0, r0
-    else:
-        delta = max(1e-3, 1e-3 * abs(a0))
-        lo = hi = a0
-        flo = fhi = r0
-        for _ in range(60):
-            lo, hi = a0 - delta, a0 + delta
-            flo, fhi = resid(lo), resid(hi)
-            if flo * fhi <= 0.0:
-                break
-            delta *= 2.0
-        else:
-            raise TuningError("could not bracket the averaged-phase null")
-        a_best, r_best = _brent_root(resid, lo, hi, flo, fhi, ytol=tolerance)
-        if abs(r_best) > tolerance:
-            raise TuningError(
-                f"root search stalled at residual {r_best:.3e} rad"
-            )
-
-    motion = required_mirror_velocity(geometry, a_best, beam.u, max_travel)
+    a_c = -pol_term.amplitude_at_mean
+    counter = DispersivePhaseTerm(amplitude_at_mean=a_c, exponent=1)
+    null = averaged_fringe([pol_term, counter], beam, support=support)
+    motion = required_mirror_velocity(geometry, a_c, beam.u, max_travel)
     ratio = prism_displacement_ratio(prism)
     dz_rate = motion.v1 / ratio if ratio != 0.0 else math.inf
-    vis_null = visibility_ratio(
-        [pol_term, DispersivePhaseTerm(amplitude_at_mean=a_best, exponent=1)],
-        beam,
-        v0,
-        support,
-    )
     return CompensationPlan(
-        counter_amplitude_at_mean=a_best,
+        counter_amplitude_at_mean=a_c,
         motion=motion,
         prism_dz_rate=dz_rate,
-        residual_phase=r_best,
-        visibility_ratio_at_null=vis_null,
+        residual_phase=null.phase_unwrapped,
+        visibility_ratio_at_null=null.visibility,
     )
 
 
@@ -203,7 +102,6 @@ def residual_dispersion(
     counter_terms,
     pol_term: DispersivePhaseTerm,
     beam: BeamModel,
-    v0: float = 1.0,
     support: VelocitySupport | None = None,
 ) -> tuple[float, float]:
     """Averaged phase and visibility ratio left by an imperfect counterphase.
@@ -213,9 +111,8 @@ def residual_dispersion(
     dependence does not match u/v survives the average and is returned
     as (residual_phase, visibility_ratio).
     """
-    combined = [pol_term, *counter_terms]
-    obs = averaged_fringe(combined, beam, v0, support)
-    return obs.phase_unwrapped, obs.visibility / obs.v0_reference
+    obs = averaged_fringe([pol_term, *counter_terms], beam, support=support)
+    return obs.phase_unwrapped, obs.visibility
 
 
 def extract_alpha_compensated(

@@ -83,21 +83,31 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class ObservationSet:
-    """Observations plus the fixed context they were taken in.
+class ModelContext:
+    """The fixed context a model curve is evaluated in.
 
     beam_u and the rotation amplitude are measured independently and
     held fixed by the fit; sagnac_amplitude_at_mean = 0 disables the
     rotation term.  width_sigmas and node_count control the velocity
-    averaging used for model evaluation.
+    averaging.
     """
 
-    observations: tuple[Observation, ...]
     beam_u: float
     sagnac_amplitude_at_mean: float
-    v0: float = 1.0
     width_sigmas: float = 8.0
     node_count: int = 257
+
+    def __post_init__(self):
+        if not self.beam_u > 0.0:
+            raise ValueError(f"beam_u must be positive, got {self.beam_u}")
+
+
+@dataclass(frozen=True)
+class ObservationSet:
+    """Observations plus the fixed context they were taken in."""
+
+    observations: tuple[Observation, ...]
+    context: ModelContext
 
     def __post_init__(self):
         object.__setattr__(self, "observations", tuple(self.observations))
@@ -106,23 +116,6 @@ class ObservationSet:
         volts = [o.voltage_U for o in self.observations]
         if len(set(volts)) != len(volts):
             raise ValueError("observation voltages must be distinct")
-        if not self.beam_u > 0.0:
-            raise ValueError(f"beam_u must be positive, got {self.beam_u}")
-
-
-@dataclass(frozen=True)
-class ModelContext:
-    """Fixed-context carrier for model evaluation without data.
-
-    Duck-compatible with ObservationSet wherever only the context
-    matters (predict, model_curve).
-    """
-
-    beam_u: float
-    sagnac_amplitude_at_mean: float
-    v0: float = 1.0
-    width_sigmas: float = 8.0
-    node_count: int = 257
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,55 +136,47 @@ class FitResult:
     cost_history: tuple[float, ...] = field(repr=False, default=())
 
 
-def _base_terms(set_context: ObservationSet) -> list[DispersivePhaseTerm]:
-    amp = set_context.sagnac_amplitude_at_mean
+def _base_terms(context: ModelContext) -> list[DispersivePhaseTerm]:
+    amp = context.sagnac_amplitude_at_mean
     if amp == 0.0:
         return []
     return [DispersivePhaseTerm(amplitude_at_mean=amp, exponent=1)]
 
 
-def model_curve(s_parallel, coeff_per_U2, voltages, set_context):
-    """Model (phase, vis_ratio) arrays over voltages, sharing the off state.
-
-    set_context is an ObservationSet or ModelContext; only its context
-    fields are read.
-    """
-    beam = BeamModel(u=set_context.beam_u, s_parallel=s_parallel)
-    support = default_support(
-        beam, set_context.width_sigmas, set_context.node_count
-    )
-    base = _base_terms(set_context)
-    off = averaged_fringe(base, beam, set_context.v0, support)
+def model_curve(s_parallel, coeff_per_U2, voltages, context: ModelContext):
+    """Model (phase, vis_ratio) arrays over voltages, sharing the off state."""
+    beam = BeamModel(u=context.beam_u, s_parallel=s_parallel)
+    support = default_support(beam, context.width_sigmas, context.node_count)
+    base = _base_terms(context)
+    off = averaged_fringe(base, beam, support=support)
     phases = np.empty(len(voltages))
     ratios = np.empty(len(voltages))
     for i, volt in enumerate(voltages):
         pol = DispersivePhaseTerm(
             amplitude_at_mean=-coeff_per_U2 * volt * volt, exponent=1
         )
-        on = averaged_fringe([pol, *base], beam, set_context.v0, support)
+        on = averaged_fringe([pol, *base], beam, support=support)
         phases[i] = on.phase_unwrapped - off.phase_unwrapped
         ratios[i] = on.visibility / off.visibility
     return phases, ratios
 
 
-def predict(s_parallel, coeff_per_U2, voltage_U, set_context):
-    """Model (phase, vis_ratio) at one voltage in the set's context."""
+def predict(s_parallel, coeff_per_U2, voltage_U, context: ModelContext):
+    """Model (phase, vis_ratio) at one voltage in the given context."""
     if not s_parallel > 1.0:
         raise ValueError(f"s_parallel must exceed 1, got {s_parallel}")
-    phases, ratios = model_curve(
-        s_parallel, coeff_per_U2, (voltage_U,), set_context
-    )
+    phases, ratios = model_curve(s_parallel, coeff_per_U2, (voltage_U,), context)
     return float(phases[0]), float(ratios[0])
 
 
-def _default_initial(set_context: ObservationSet) -> tuple[float, float]:
+def _default_initial(obs_set: ObservationSet) -> tuple[float, float]:
     """Heuristic start: s_parallel = 8, coeff from the smallest voltages.
 
     The coefficient seed is the origin-constrained least-squares slope
     of -phase against U^2 over the three smallest nonzero voltages.
     """
     nonzero = sorted(
-        (o for o in set_context.observations if o.voltage_U != 0.0),
+        (o for o in obs_set.observations if o.voltage_U != 0.0),
         key=lambda o: abs(o.voltage_U),
     )[:3]
     if not nonzero:
@@ -212,13 +197,13 @@ def _forward_jacobian(fun, x, r0):
     return J
 
 
-def fit(set_context: ObservationSet, initial=None, *, max_iterations: int = 200,
+def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         chi2_scaling: bool = True) -> FitResult:
     """Joint weighted fit of (s_parallel, coeff_per_U2).
 
     Parameters
     ----------
-    set_context : ObservationSet
+    obs_set : ObservationSet
     initial : (float, float), optional
         Starting (s_parallel, coeff_per_U2); defaults to the documented
         heuristic.
@@ -234,7 +219,8 @@ def fit(set_context: ObservationSet, initial=None, *, max_iterations: int = 200,
     FitError
         On a singular normal matrix.
     """
-    obs = set_context.observations
+    obs = obs_set.observations
+    context = obs_set.context
     volts = np.array([o.voltage_U for o in obs])
     ph_meas = np.array([o.phase_meas for o in obs])
     ph_sig = np.array([o.phase_sigma for o in obs])
@@ -242,7 +228,7 @@ def fit(set_context: ObservationSet, initial=None, *, max_iterations: int = 200,
     vis_sig = np.array([o.vis_sigma for o in obs])
 
     if initial is None:
-        initial = _default_initial(set_context)
+        initial = _default_initial(obs_set)
     s0, c0 = float(initial[0]), float(initial[1])
     if not s0 > 1.0:
         raise ValueError(f"initial s_parallel must exceed 1, got {s0}")
@@ -252,7 +238,7 @@ def fit(set_context: ObservationSet, initial=None, *, max_iterations: int = 200,
 
     def residuals(x):
         s_par, coeff = x * scale
-        phases, ratios = model_curve(s_par, coeff, volts, set_context)
+        phases, ratios = model_curve(s_par, coeff, volts, context)
         r = np.empty(2 * len(obs))
         r[0::2] = (ph_meas - phases) / ph_sig
         r[1::2] = (vis_meas - ratios) / vis_sig
@@ -327,7 +313,7 @@ def fit(set_context: ObservationSet, initial=None, *, max_iterations: int = 200,
     cov = 0.5 * (cov + cov.T)
 
     s_fit, c_fit = x * scale
-    phases, ratios = model_curve(s_fit, c_fit, volts, set_context)
+    phases, ratios = model_curve(s_fit, c_fit, volts, context)
     resid_pairs = np.column_stack([ph_meas - phases, vis_meas - ratios])
     return FitResult(
         s_parallel=float(s_fit),

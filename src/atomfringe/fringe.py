@@ -60,15 +60,13 @@ class FringeObservable:
 
     phase is the principal value in (-pi, pi]; phase_unwrapped is the
     continuation-unwrapped value (equal to phase modulo 2 pi), which is
-    continuous along any continuous sweep of the term amplitudes.  psi
-    is the fringe-scanning reference phase, carried through unchanged.
+    continuous along any continuous sweep of the term amplitudes.
     """
 
     visibility: float
     phase: float
     phase_unwrapped: float
     v0_reference: float
-    psi: float = 0.0
 
 
 @lru_cache(maxsize=64)
@@ -144,7 +142,6 @@ def averaged_fringe(
     beam: BeamModel,
     v0: float = 1.0,
     support: VelocitySupport | None = None,
-    psi: float = 0.0,
     *,
     unwrap: bool = True,
 ) -> FringeObservable:
@@ -160,8 +157,6 @@ def averaged_fringe(
     support : VelocitySupport, optional
         Integration window and node count; defaults to the beam's
         8-sigma window at 257 nodes.
-    psi : float
-        Fringe-scanning reference phase, reported back unchanged.
     unwrap : bool
         Skip the amplitude-continuation unwrap when False and report
         phase_unwrapped = nan.  Useful for visibility diagnostics at
@@ -210,7 +205,6 @@ def averaged_fringe(
         phase=principal,
         phase_unwrapped=unwrapped,
         v0_reference=v0,
-        psi=psi,
     )
 
 

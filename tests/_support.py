@@ -58,12 +58,7 @@ def zero_noise_observations(sagnac=SAG_AMP, node_count=257):
 
 
 def observation_set(obs, sagnac=SAG_AMP, node_count=257):
-    return af.ObservationSet(
-        observations=obs,
-        beam_u=BEAM.u,
-        sagnac_amplitude_at_mean=sagnac,
-        node_count=node_count,
-    )
+    return af.ObservationSet(obs, model_context(node_count, sagnac))
 
 
 def run_config(seed=0, **overrides):

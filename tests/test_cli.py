@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import atomfringe as af
 from atomfringe.cli import OBSERVATION_HEADER, main, read_observations, write_observations
@@ -211,6 +212,37 @@ def test_observation_file_round_trip_is_byte_identical(config_path, tmp_path):
     assert first.read_bytes() == again.read_bytes()
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.builds(af.Observation, finite, finite, positive, st.floats(0.0, 1.2), positive),
+        max_size=5,
+    )
+)
+def test_observation_write_read_write_is_byte_identical(rows, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("round_trip")
+    first, again = tmp / "first.csv", tmp / "again.csv"
+    write_observations(str(first), rows)
+    back = read_observations(str(first))
+    assert back == tuple(rows)
+    write_observations(str(again), back)
+    assert first.read_bytes() == again.read_bytes()
+
+
+def test_synth_dash_writes_stdout(config_path, tmp_path, monkeypatch, capsys):
+    design = write_config(tmp_path, design_doc(), "design.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--config", config_path, "--design", design, "--out", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(OBSERVATION_HEADER)
+    assert len(lines) == 1 + len(design_doc()["voltages_V"])
+    assert not (tmp_path / "-").exists()
+
+
 # ---------------------------------------------------------------------- fit
 
 
@@ -290,6 +322,30 @@ def test_fit_rejects_underdetermined_file(config_path, tmp_path, capsys):
     code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", str(report)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_not_converged_exits_1(tmp_path, capsys):
+    doc = base_config()
+    doc["fit"] = {"max_iterations": 1}
+    config = write_config(tmp_path, doc, "short_fit.json")
+    design = write_config(
+        tmp_path,
+        design_doc(voltages_V=[50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0]),
+        "design.json",
+    )
+    obs = tmp_path / "obs.csv"
+    report = tmp_path / "fit.json"
+    assert main(["synth", "--config", config, "--design", design, "--out", str(obs)]) == 0
+    capsys.readouterr()
+    code = main(["fit", "--config", config, "--obs", str(obs), "--out", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: fit did not converge")
+    # the report is still written, without sigmas
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["converged"] is False
+    assert doc["sigma_s_parallel"] is None
 
 
 # --------------------------------------------------------------------- tune
@@ -391,6 +447,28 @@ def test_residual_explicit_grid(config_path, tmp_path):
 
 
 # -------------------------------------------------------------- diagnostics
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tune", "--pol-amplitude", "-100"],
+        ["residual", "--pol-amplitude", "-100", "--v2", "10"],
+    ],
+)
+def test_averaging_section_is_honoured(argv, tmp_path, capsys):
+    # five nodes cannot converge the velocity average, so the command
+    # must fail the doubling check rather than fall back to the default
+    # node count
+    doc = base_config()
+    doc["averaging"] = {"node_count": 5}
+    config = write_config(tmp_path, doc, "coarse.json")
+    out = tmp_path / "out"
+    code = main([argv[0], "--config", config, *argv[1:], "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

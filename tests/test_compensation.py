@@ -1,11 +1,9 @@
 """Counterphase tuning, residual dispersion, and alpha extraction."""
 
-import math
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import atomfringe as af
-from atomfringe.compensation import _brent_root
 from _support import BEAM, CAP, GEO
 
 T = lambda a, e=1: af.DispersivePhaseTerm(amplitude_at_mean=a, exponent=e)
@@ -22,6 +20,21 @@ def test_exact_null_over_grid(pol_amp, s_par):
     plan = af.tune_counterphase(T(pol_amp), beam, GEO)
     # same u/v shape on both terms: cancellation is pointwise, so the
     # null is exact in floating point, not merely within tolerance
+    assert plan.counter_amplitude_at_mean == -pol_amp
+    assert plan.residual_phase == 0.0
+    assert plan.visibility_ratio_at_null == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    pol_amp=st.floats(min_value=-200.0, max_value=200.0),
+    s_par=st.floats(min_value=5.0, max_value=12.0),
+)
+def test_closed_form_null_is_exact(pol_amp, s_par):
+    # a x + (-a) x is exactly 0, so the closed-form counter leaves no
+    # phase at any node and the full contrast of the beam
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    plan = af.tune_counterphase(T(pol_amp), beam, GEO)
     assert plan.counter_amplitude_at_mean == -pol_amp
     assert plan.residual_phase == 0.0
     assert plan.visibility_ratio_at_null == pytest.approx(1.0, abs=1e-9)
@@ -138,15 +151,3 @@ def test_alpha_extraction_validation():
         af.extract_alpha_compensated(
             0.0, plan.motion, GEO, BEAM.u, CAP.geometry_factor_G, voltage_U=0.0
         )
-
-
-def test_bracketing_root_solver():
-    # the tuner's fallback solver, exercised directly since exponent-1
-    # inputs short-circuit to the exact analytic null
-    f = lambda x: x**3 - 2.0
-    root, fval = _brent_root(f, 1.0, 2.0, f(1.0), f(2.0), ytol=1e-14)
-    assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
-    assert abs(fval) <= 1e-14
-    g = lambda x: math.tanh(x - 0.25)
-    root, fval = _brent_root(g, -4.0, 4.0, g(-4.0), g(4.0), ytol=1e-15)
-    assert root == pytest.approx(0.25, abs=1e-10)

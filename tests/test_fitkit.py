@@ -8,7 +8,7 @@ import pytest
 import atomfringe as af
 from atomfringe.fitkit import _FD_REL_STEP, _forward_jacobian
 from _support import (
-    BEAM, C_TRUE, PHASE_SIGMA, S_TRUE, SAG_AMP, VIS_SIGMA, VOLTS,
+    C_TRUE, PHASE_SIGMA, S_TRUE, SAG_AMP, VIS_SIGMA, VOLTS,
     model_context, observation_set, zero_noise_observations,
 )
 
@@ -29,12 +29,13 @@ def test_observation_validation():
 
 def test_observation_set_validation():
     obs = zero_noise_observations()
+    ctx = model_context()
     with pytest.raises(ValueError):
-        af.ObservationSet(obs[:2], BEAM.u, SAG_AMP)
+        af.ObservationSet(obs[:2], ctx)
     with pytest.raises(ValueError):
-        af.ObservationSet(obs + (obs[0],), BEAM.u, SAG_AMP)
+        af.ObservationSet(obs + (obs[0],), ctx)
     with pytest.raises(ValueError):
-        af.ObservationSet(obs, 0.0, SAG_AMP)
+        af.ModelContext(0.0, SAG_AMP)
 
 
 def test_predict_against_oracle():

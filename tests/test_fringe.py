@@ -148,14 +148,6 @@ def test_v0_scales_visibility_only():
             af.averaged_fringe([T(-5.0)], BEAM, v0=bad)
 
 
-def test_psi_is_reported_not_added():
-    plain = af.averaged_fringe([T(-5.0)], BEAM)
-    offset = af.averaged_fringe([T(-5.0)], BEAM, psi=0.3)
-    assert offset.psi == 0.3
-    assert offset.phase == plain.phase
-    assert offset.visibility == plain.visibility
-
-
 def test_doubling_diagnostic_fires_on_coarse_grid():
     # broad beam + large amplitude: 257 nodes cannot resolve the
     # oscillation, the doubling check must say so, and the documented
