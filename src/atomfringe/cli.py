@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -191,6 +192,22 @@ def load_config(path: str) -> RunConfig:
 
     averaging = doc.get("averaging", {})
     fit_opts = doc.get("fit", {})
+    for name, section in (("averaging", averaging), ("fit", fit_opts)):
+        if not isinstance(section, dict):
+            raise ParseError(f"{path}: section '{name}' must be a JSON object")
+    node_count = averaging.get("node_count", 257)
+    width_sigmas = averaging.get("width_sigmas", 8.0)
+    # exact type checks: JSON true/false must not pass as 1/0
+    if type(node_count) is not int or node_count < 3:
+        raise ParseError(
+            f"{path}: section 'averaging': node_count must be an integer "
+            f"of at least 3, got {node_count!r}"
+        )
+    if type(width_sigmas) not in (int, float) or not 0.0 < width_sigmas < math.inf:
+        raise ParseError(
+            f"{path}: section 'averaging': width_sigmas must be a positive "
+            f"finite number, got {width_sigmas!r}"
+        )
     try:
         alpha = doc.get("alpha_m3")
         return RunConfig(
@@ -199,8 +216,8 @@ def load_config(path: str) -> RunConfig:
             beam=beam,
             alpha_m3=None if alpha is None else float(alpha),
             prism=PrismGeometry(refractive_index_n=float(doc.get("prism_n", 1.46))),
-            width_sigmas=float(averaging.get("width_sigmas", 8.0)),
-            node_count=int(averaging.get("node_count", 257)),
+            width_sigmas=float(width_sigmas),
+            node_count=node_count,
             include_sagnac=bool(fit_opts.get("include_sagnac", True)),
             max_iterations=int(fit_opts.get("max_iterations", 200)),
             chi2_scaling=bool(fit_opts.get("chi2_scaling", True)),
@@ -234,8 +251,19 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> Observatio
     Per voltage: true (phase, vis_ratio) from the velocity-averaged
     model with the configured Sagnac term, then one Gaussian draw per
     noisy channel in fixed order (rotation jitter, phase, visibility).
+    Without rotation jitter the whole design is one model curve.
     Deterministic for a fixed (config.rng_seed, design).
+
+    Raises ValueError for rotation jitter when the config leaves the
+    rotation term out (include_sagnac false): there is no rotation
+    phase for the jitter to act on.
     """
+    jittered = design.rotation_jitter > 0.0
+    if jittered and not config.include_sagnac:
+        raise ValueError(
+            "design rotation_jitter_rad_per_s is set but the config's "
+            "fit.include_sagnac is false, so there is no rotation phase to jitter"
+        )
     rng = np.random.default_rng(config.rng_seed)
     ctx = config.model_context()
     coeff = config.stark_coefficient()
@@ -247,16 +275,18 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> Observatio
         * config.geometry.grating_separation_L**2
         / beam.u
     )
-    jitter = design.rotation_jitter if config.include_sagnac else 0.0
 
+    if not jittered:
+        phases, ratios = model_curve(beam.s_parallel, coeff, design.voltages, ctx)
     observations = []
-    for volt in design.voltages:
-        point_ctx = ctx
-        if jitter > 0.0:
-            sag_i = sag_nominal + amp_per_rate * rng.normal(0.0, jitter)
+    for i, volt in enumerate(design.voltages):
+        if jittered:
+            sag_i = sag_nominal + amp_per_rate * rng.normal(0.0, design.rotation_jitter)
             point_ctx = replace(ctx, sagnac_amplitude_at_mean=sag_i)
-        phases, ratios = model_curve(beam.s_parallel, coeff, (volt,), point_ctx)
-        phase_true, vis_true = float(phases[0]), float(ratios[0])
+            point_phase, point_ratio = model_curve(beam.s_parallel, coeff, (volt,), point_ctx)
+            phase_true, vis_true = float(point_phase[0]), float(point_ratio[0])
+        else:
+            phase_true, vis_true = float(phases[i]), float(ratios[i])
 
         ph_sigma = design.phase_sigma_base + design.phase_sigma_per_rad * abs(phase_true)
         phase = phase_true + (rng.normal(0.0, ph_sigma) if ph_sigma > 0.0 else 0.0)

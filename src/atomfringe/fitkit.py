@@ -13,16 +13,20 @@ fit() minimizes
     sum_i [ (phase_i - model)^2 / phase_sigma_i^2
           + (vis_i - model)^2 / vis_sigma_i^2 ]
 
-by Levenberg-Marquardt with a forward-difference Jacobian (relative
-step 1e-6).  Damping starts at 1e-3, divides by 3 on accepted steps
-and multiplies by 10 on rejections, so the objective never increases
-along the accepted sequence.  The converged flag means either the
-gradient criterion max|J^T r| <= 1e-6 * max(1, chi^2) held at the
-reported optimum or the cost had stopped improving to float
-resolution over several accepted steps (an ftol-style exit; the
-remaining parameter motion is then far below the reported sigmas).
-The covariance is the inverse Gauss-Newton normal matrix at the
-optimum, scaled by reduced chi-square unless disabled.
+by Levenberg-Marquardt with the exact Jacobian.  Every voltage's total
+amplitude sag - coeff * U^2 multiplies the same u/v profile, so one
+velocity average of that profile at all amplitudes (a FringeCurve)
+gives the residuals and, from d ln Z / d amplitude and
+d ln Z / d s_parallel, their derivatives in the same pass.  Damping
+starts at 1e-3, divides by 3 on accepted steps and multiplies by 10 on
+rejections, so the objective never increases along the accepted
+sequence.  The converged flag means either the gradient criterion
+max|J^T r| <= 1e-6 * max(1, chi^2) held at the reported optimum or the
+cost had stopped improving to float resolution over several accepted
+steps (an ftol-style exit; the remaining parameter motion is then far
+below the reported sigmas).  The covariance is the inverse Gauss-Newton
+normal matrix at the optimum, scaled by reduced chi-square unless
+disabled.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ __all__ = [
     "parameter_uncertainties",
 ]
 
-_FD_REL_STEP = 1e-6
 _GTOL = 1e-6
 _LAM_INIT = 1e-3
 _LAM_ACCEPT = 1.0 / 3.0
@@ -136,28 +139,37 @@ class FitResult:
     cost_history: tuple[float, ...] = field(repr=False, default=())
 
 
-def _base_terms(context: ModelContext) -> list[DispersivePhaseTerm]:
-    amp = context.sagnac_amplitude_at_mean
-    if amp == 0.0:
-        return []
-    return [DispersivePhaseTerm(amplitude_at_mean=amp, exponent=1)]
+_UNIT_TERM = (DispersivePhaseTerm(amplitude_at_mean=1.0, exponent=1),)
+
+
+def _model_pass(s_parallel, coeff_per_U2, voltages, context: ModelContext):
+    """Model (phase, vis_ratio) over voltages plus their exact derivatives.
+
+    Returns phases, ratios and two (len(voltages), 2) arrays holding
+    d phase and d ratio with respect to (s_parallel, coeff_per_U2).
+    Row 0 of the averaged curve is the off state (the rotation term
+    alone), the rest are the on states.
+    """
+    beam = BeamModel(u=context.beam_u, s_parallel=s_parallel)
+    support = default_support(beam, context.width_sigmas, context.node_count)
+    u2 = np.asarray(voltages, dtype=float) ** 2
+    sag = context.sagnac_amplitude_at_mean
+    curve = averaged_fringe(
+        _UNIT_TERM, beam, support=support,
+        scales=np.concatenate([[sag], sag - coeff_per_U2 * u2]),
+    )
+    phases = curve.phase_unwrapped[1:] - curve.phase_unwrapped[0]
+    ratios = curve.visibility[1:] / curve.visibility[0]
+    g = curve.dlogz_dspeed_ratio[1:] - curve.dlogz_dspeed_ratio[0]
+    h = -u2 * curve.dlogz_dscale[1:]  # d ln Z_on / d coeff
+    dphase = np.column_stack([g.imag, h.imag])
+    dratio = ratios[:, None] * np.column_stack([g.real, h.real])
+    return phases, ratios, dphase, dratio
 
 
 def model_curve(s_parallel, coeff_per_U2, voltages, context: ModelContext):
     """Model (phase, vis_ratio) arrays over voltages, sharing the off state."""
-    beam = BeamModel(u=context.beam_u, s_parallel=s_parallel)
-    support = default_support(beam, context.width_sigmas, context.node_count)
-    base = _base_terms(context)
-    off = averaged_fringe(base, beam, support=support)
-    phases = np.empty(len(voltages))
-    ratios = np.empty(len(voltages))
-    for i, volt in enumerate(voltages):
-        pol = DispersivePhaseTerm(
-            amplitude_at_mean=-coeff_per_U2 * volt * volt, exponent=1
-        )
-        on = averaged_fringe([pol, *base], beam, support=support)
-        phases[i] = on.phase_unwrapped - off.phase_unwrapped
-        ratios[i] = on.visibility / off.visibility
+    phases, ratios, _, _ = _model_pass(s_parallel, coeff_per_U2, voltages, context)
     return phases, ratios
 
 
@@ -187,16 +199,6 @@ def _default_initial(obs_set: ObservationSet) -> tuple[float, float]:
     return 8.0, coeff0
 
 
-def _forward_jacobian(fun, x, r0):
-    J = np.empty((r0.size, x.size))
-    for k in range(x.size):
-        h = _FD_REL_STEP * max(abs(x[k]), _FD_REL_STEP)
-        xp = x.copy()
-        xp[k] += h
-        J[:, k] = (fun(xp) - r0) / h
-    return J
-
-
 def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         chi2_scaling: bool = True) -> FitResult:
     """Joint weighted fit of (s_parallel, coeff_per_U2).
@@ -208,8 +210,8 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         Starting (s_parallel, coeff_per_U2); defaults to the documented
         heuristic.
     max_iterations : int
-        Jacobian rebuilds before giving up (converged = False unless the
-        gradient criterion happens to hold there).
+        Levenberg-Marquardt iterations before giving up (converged =
+        False unless the gradient criterion happens to hold there).
     chi2_scaling : bool
         Scale the covariance by reduced chi-square (default) or report
         pure propagation of the quoted sigmas.
@@ -232,20 +234,23 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     s0, c0 = float(initial[0]), float(initial[1])
     if not s0 > 1.0:
         raise ValueError(f"initial s_parallel must exceed 1, got {s0}")
-    # optimize in initial-value units so both gradient components and
-    # finite-difference steps are comparable
+    # optimize in initial-value units so both gradient components are
+    # comparable
     scale = np.array([abs(s0), max(abs(c0), 1e-6)])
+    sigmas = np.column_stack([ph_sig, vis_sig])
 
-    def residuals(x):
+    def evaluate(x):
+        """Raw (phase, vis) misfits, weighted residuals, exact Jacobian."""
         s_par, coeff = x * scale
-        phases, ratios = model_curve(s_par, coeff, volts, context)
-        r = np.empty(2 * len(obs))
-        r[0::2] = (ph_meas - phases) / ph_sig
-        r[1::2] = (vis_meas - ratios) / vis_sig
-        return r
+        phases, ratios, dphase, dratio = _model_pass(s_par, coeff, volts, context)
+        misfit = np.column_stack([ph_meas - phases, vis_meas - ratios])
+        jac = np.empty((2 * len(obs), 2))
+        jac[0::2] = -dphase * scale / ph_sig[:, None]
+        jac[1::2] = -dratio * scale / vis_sig[:, None]
+        return misfit, (misfit / sigmas).ravel(), jac
 
     x = np.array([s0, c0]) / scale
-    r = residuals(x)
+    misfit, r, J = evaluate(x)
     cost = float(r @ r)
     history = [cost]
     lam = _LAM_INIT
@@ -253,7 +258,6 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     stalled = False
 
     for _ in range(max_iterations):
-        J = _forward_jacobian(residuals, x, r)
         g = J.T @ r
         if np.max(np.abs(g)) <= _GTOL * max(1.0, cost):
             break
@@ -272,15 +276,16 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
             x_try = x + dx
             if x_try[0] * scale[0] > 1.0:  # keep s_parallel physical
                 try:
-                    r_try = residuals(x_try)
+                    trial = evaluate(x_try)
                 except QuadratureConvergenceError:
                     # trial point too broad for the node budget: treat as
                     # a bad step and back off (reported values stay checked)
-                    r_try = None
-                cost_try = float(r_try @ r_try) if r_try is not None else math.inf
+                    trial = None
+                cost_try = float(trial[1] @ trial[1]) if trial is not None else math.inf
                 if cost_try <= cost:
                     stalls = stalls + 1 if cost - cost_try <= 1e-14 * max(1.0, cost) else 0
-                    x, r, cost = x_try, r_try, cost_try
+                    x, cost = x_try, cost_try
+                    misfit, r, J = trial
                     history.append(cost)
                     lam = max(lam * _LAM_ACCEPT, 1e-15)
                     stepped = True
@@ -294,9 +299,8 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
             stalled = True
             break
 
-    # fresh linearization at the reported optimum: convergence flag and
-    # covariance both come from here
-    J = _forward_jacobian(residuals, x, r)
+    # the accepted evaluation's Jacobian is the linearization at the
+    # reported optimum: convergence flag and covariance both come from it
     g = J.T @ r
     converged = stalled or bool(np.max(np.abs(g)) <= _GTOL * max(1.0, cost))
     N = J.T @ J
@@ -313,14 +317,12 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     cov = 0.5 * (cov + cov.T)
 
     s_fit, c_fit = x * scale
-    phases, ratios = model_curve(s_fit, c_fit, volts, context)
-    resid_pairs = np.column_stack([ph_meas - phases, vis_meas - ratios])
     return FitResult(
         s_parallel=float(s_fit),
         coeff_per_U2=float(c_fit),
         covariance=cov,
         chi_square=cost,
-        residuals=resid_pairs,
+        residuals=misfit,
         converged=converged,
         iterations=len(history) - 1,
         cost_history=tuple(history),

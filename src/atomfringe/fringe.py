@@ -15,10 +15,18 @@ Integration is fixed-node Gauss-Legendre on the truncated support from
 the beam module.  Every reported average is re-evaluated at 2n - 1
 nodes; if the complex value moves by more than QUADRATURE_TOL the
 result is not trusted and QuadratureConvergenceError is raised (raise
-node_count in that case).  Phases beyond the principal branch are
-recovered by continuation: the whole term list is scaled from 0 to 1
-in steps small enough that the averaged phase never jumps by pi/2,
-refining near visibility nulls where the phase slews quickly.
+node_count in that case).  The density is not renormalised on the
+window, so a visibility carries the quadrature's mass error (at most
+1e-12 on the default 8-sigma window when it is not clamped at 1e-3 u)
+and may read above v0 by that much.
+
+Phases beyond the principal branch are recovered by continuation: the
+whole term list is scaled from 0 to its factor in steps small enough
+that the averaged phase never jumps by pi/2, refining near visibility
+nulls where the phase slews quickly.  A call with several factors
+(``scales``) makes one such walk from 0 to the farthest factor on each
+side of zero, with every requested factor on the path, so a whole
+curve of u/v amplitudes costs one pass over the velocity grid.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ __all__ = [
     "QUADRATURE_TOL",
     "QuadratureConvergenceError",
     "FringeObservable",
+    "FringeCurve",
     "averaged_fringe",
     "measured_phase_shift",
     "non_additivity_gap",
@@ -48,6 +57,8 @@ _TWO_PI = 2.0 * math.pi
 _MAX_STEP_RAD = 0.5 * math.pi  # continuation step bound
 _MAX_REFINE_PASSES = 40
 _ARG_NOISE_RATIO = 1e-3  # max quadrature error, relative to |Z|, for arg(Z) to mean anything
+_UNIT_SCALE = np.ones(1)  # a plain call is the one-row curve at factor 1
+_UNIT_INDEX = np.zeros(1, dtype=int)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -69,6 +80,25 @@ class FringeObservable:
     v0_reference: float
 
 
+@dataclass(frozen=True)
+class FringeCurve:
+    """Averaged fringes of one term list at several amplitude factors.
+
+    Entry j belongs to the terms multiplied by scales[j].  visibility,
+    phase and phase_unwrapped are as in FringeObservable.  The two
+    complex derivative arrays hold d ln Z / d s (with respect to the
+    factor) and d ln Z / d s_parallel (speed ratio, at fixed mean
+    velocity): the imaginary part of each is the derivative of the
+    phase, the real part that of ln visibility.
+    """
+
+    visibility: np.ndarray
+    phase: np.ndarray
+    phase_unwrapped: np.ndarray
+    dlogz_dscale: np.ndarray
+    dlogz_dspeed_ratio: np.ndarray
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -87,54 +117,10 @@ def _grid(support: VelocitySupport):
 
 def _phase_profile(terms, beam: BeamModel, v):
     phi = np.zeros_like(v)
+    u_over_v = beam.u / v
     for t in terms:
-        phi += t.amplitude_at_mean * (beam.u / v) ** t.exponent
+        phi += t.amplitude_at_mean * u_over_v ** t.exponent
     return phi
-
-
-def _check_convergence(terms, beam, support, z) -> float:
-    """Doubling test: returns |dZ| between node_count and 2n - 1 nodes."""
-    n2 = 2 * support.node_count - 1
-    v2, w2 = _grid(VelocitySupport(support.v_min, support.v_max, n2))
-    wp2 = w2 * velocity_pdf(beam, v2)
-    z2 = complex(np.sum(wp2 * np.exp(1j * _phase_profile(terms, beam, v2))))
-    err = abs(z - z2)
-    if err > QUADRATURE_TOL:
-        raise QuadratureConvergenceError(
-            f"velocity average not converged: {support.node_count} nodes gave "
-            f"{z:.12e}, {n2} nodes gave {z2:.12e} (moved {err:.3e} > "
-            f"{QUADRATURE_TOL:g}); raise node_count"
-        )
-    return err
-
-
-def _unwrapped_arg(wp, phi, l1: float) -> float:
-    """Continuation-unwrapped arg of sum(wp * e^{i s phi}) at s = 1.
-
-    l1 bounds |d arg / d s| up to the distribution's (u/v)^2 reach, so
-    ceil(l1) unit steps keep each jump well under pi/2; steps that still
-    jump too far (near visibility nulls) are bisected.
-    """
-    if l1 == 0.0:
-        return 0.0
-    scales = np.linspace(0.0, 1.0, int(math.ceil(l1)) + 1)
-    args = np.angle(np.exp(1j * np.outer(scales, phi)) @ wp)
-    for _ in range(_MAX_REFINE_PASSES):
-        jumps = np.abs(np.diff(np.unwrap(args)))
-        bad = jumps > _MAX_STEP_RAD
-        if not bad.any():
-            return float(np.unwrap(args)[-1])
-        mids = 0.5 * (scales[:-1][bad] + scales[1:][bad])
-        mid_args = np.angle(np.exp(1j * np.outer(mids, phi)) @ wp)
-        scales = np.concatenate([scales, mids])
-        args = np.concatenate([args, mid_args])
-        order = np.argsort(scales, kind="stable")
-        scales = scales[order]
-        args = args[order]
-    raise QuadratureConvergenceError(
-        "phase continuation did not stabilize; the averaged phase jumps by "
-        "more than pi/2 at every refinement depth (visibility null too sharp)"
-    )
 
 
 def averaged_fringe(
@@ -144,7 +130,8 @@ def averaged_fringe(
     support: VelocitySupport | None = None,
     *,
     unwrap: bool = True,
-) -> FringeObservable:
+    scales=None,
+) -> FringeObservable | FringeCurve:
     """Velocity-averaged fringe of a list of dispersive phase terms.
 
     Parameters
@@ -162,49 +149,139 @@ def averaged_fringe(
         phase_unwrapped = nan.  Useful for visibility diagnostics at
         amplitudes so deep that |Z| sits at the float floor, where a
         continuous phase no longer exists numerically.
+    scales : sequence of float, optional
+        Average the term list multiplied by each factor and return a
+        FringeCurve whose entries follow the order of scales.  All
+        entries share one grid, one doubling grid and one continuation
+        walk; equal factors give identical entries.
+
+    Returns
+    -------
+    FringeObservable, or FringeCurve when scales is given.
 
     Raises
     ------
     QuadratureConvergenceError
         If re-evaluating at 2n - 1 nodes moves Z by more than
         QUADRATURE_TOL, or (with unwrap) if the continuation cannot
-        track the phase through a visibility null.
+        track the phase through a visibility null.  With scales, the
+        first failing entry in input order is reported.
     """
     if not 0.0 < v0 <= 1.0:
         raise ValueError(f"v0 must be in (0, 1], got {v0}")
     if support is None:
         support = default_support(beam)
+    curve = scales is not None
+    if curve:
+        scales = np.asarray(scales, dtype=float)
+        if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
+            raise ValueError("scales must be a non-empty sequence of finite numbers")
+        # equal factors share one row, so they give bit-identical entries
+        s, inv = np.unique(scales, return_inverse=True)
+    else:
+        s, inv = _UNIT_SCALE, _UNIT_INDEX
+
     v, w = _grid(support)
     wp = w * velocity_pdf(beam, v)
     phi = _phase_profile(terms, beam, v)
-    z = complex(np.sum(wp * np.exp(1j * phi)))
-    dz = _check_convergence(terms, beam, support, z)
+    rows = np.exp(1j * (s[:, None] * phi))
+    if curve:
+        # d ln P / d S at fixed u; the window's own motion with S only
+        # moves mass that the truncation already neglects
+        dlogp = 1.0 / beam.s_parallel - 2.0 * beam.s_parallel * ((v - beam.u) / beam.u) ** 2
+        sums = rows @ np.column_stack([wp, wp * phi, wp * dlogp])
+        z = sums[:, 0]
+    else:
+        z = rows @ wp
 
-    principal = float(np.angle(z))
+    # doubling check, every row against the same 2n - 1 node grid
+    n2 = 2 * support.node_count - 1
+    v2, w2 = _grid(VelocitySupport(support.v_min, support.v_max, n2))
+    z2 = np.exp(1j * (s[:, None] * _phase_profile(terms, beam, v2))) @ (
+        w2 * velocity_pdf(beam, v2)
+    )
+    dz = np.abs(z - z2)
+    vis = np.abs(z)
+    bad = dz > QUADRATURE_TOL
     if unwrap:
         # dz/|Z| estimates the error of arg(Z); once the visibility is
         # down at the quadrature floor the phase is pure noise and
         # unwrapping it would silently return garbage
-        if dz > _ARG_NOISE_RATIO * abs(z):
+        bad |= dz > _ARG_NOISE_RATIO * vis
+    if bad.any():
+        j = inv[np.argmax(bad[inv])]
+        if dz[j] > QUADRATURE_TOL:
             raise QuadratureConvergenceError(
-                f"averaged phase unresolved: quadrature error {dz:.3e} "
-                f"is not small against |Z| = {abs(z):.3e}; the phase is "
-                "meaningless this deep into the dispersion tail (raise "
-                "node_count, or pass unwrap=False for |Z| alone)"
+                f"velocity average not converged: {support.node_count} nodes gave "
+                f"{complex(z[j]):.12e}, {n2} nodes gave {complex(z2[j]):.12e} "
+                f"(moved {dz[j]:.3e} > {QUADRATURE_TOL:g}); raise node_count"
             )
-        l1 = float(sum(abs(t.amplitude_at_mean) for t in terms))
-        unwrapped = _unwrapped_arg(wp, phi, l1)
+        raise QuadratureConvergenceError(
+            f"averaged phase unresolved: quadrature error {dz[j]:.3e} "
+            f"is not small against |Z| = {vis[j]:.3e}; the phase is "
+            "meaningless this deep into the dispersion tail (raise "
+            "node_count, or pass unwrap=False for |Z| alone)"
+        )
+
+    principal = np.angle(z)
+    l1 = float(sum(abs(t.amplitude_at_mean) for t in terms))
+    if not unwrap:
+        unwrapped = np.full(s.size, math.nan)
+    elif l1 == 0.0:
+        unwrapped = principal
+    else:
+        # one walk from 0 to the farthest factor on each side: l1
+        # bounds |d arg / d s| up to the distribution's (u/v)^2 reach,
+        # so ceil(|s| l1) steps keep each jump well under pi/2; steps
+        # that still jump too far (near visibility nulls) are bisected.
+        # Every requested factor lies on the path (tag = its row).
+        lo, hi = min(s[0], 0.0), max(s[-1], 0.0)
+        walk = np.concatenate([
+            np.linspace(lo, 0.0, int(math.ceil(-lo * l1)) + 1),
+            np.linspace(0.0, hi, int(math.ceil(hi * l1)) + 1),
+        ])
+        path = np.concatenate([walk, s])
+        walk_args = np.angle(np.exp(1j * (walk[:, None] * phi)) @ wp)
+        args = np.concatenate([walk_args, principal])
+        tag = np.concatenate([np.full(walk.size, -1), np.arange(s.size)])
+        for _ in range(_MAX_REFINE_PASSES):
+            order = np.argsort(path, kind="stable")
+            path, args, tag = path[order], args[order], tag[order]
+            walked = np.unwrap(args)
+            jumps = np.abs(np.diff(walked)) > _MAX_STEP_RAD
+            if not jumps.any():
+                break
+            mids = 0.5 * (path[:-1][jumps] + path[1:][jumps])
+            path = np.concatenate([path, mids])
+            args = np.concatenate([args, np.angle(np.exp(1j * (mids[:, None] * phi)) @ wp)])
+            tag = np.concatenate([tag, np.full(mids.size, -1)])
+        else:
+            raise QuadratureConvergenceError(
+                "phase continuation did not stabilize; the averaged phase jumps by "
+                "more than pi/2 at every refinement depth (visibility null too sharp)"
+            )
+        # arg Z(0) = 0 anchors both sides of the walk
+        walked -= walked[np.searchsorted(path, 0.0)]
+        on_path = tag >= 0
+        unwrapped = np.empty(s.size)
+        unwrapped[tag[on_path]] = walked[on_path]
         # continuation ends on the same grid, so it differs from the
         # principal value by an exact multiple of 2 pi; snap it there
-        unwrapped = principal + _TWO_PI * round((unwrapped - principal) / _TWO_PI)
-    else:
-        unwrapped = math.nan
+        unwrapped = principal + _TWO_PI * np.round((unwrapped - principal) / _TWO_PI)
 
-    return FringeObservable(
-        visibility=v0 * abs(z),
-        phase=principal,
-        phase_unwrapped=unwrapped,
-        v0_reference=v0,
+    if not curve:
+        return FringeObservable(
+            visibility=float(v0 * vis[0]),
+            phase=float(principal[0]),
+            phase_unwrapped=float(unwrapped[0]),
+            v0_reference=v0,
+        )
+    return FringeCurve(
+        visibility=v0 * vis[inv],
+        phase=principal[inv],
+        phase_unwrapped=unwrapped[inv],
+        dlogz_dscale=(1j * sums[:, 1] / z)[inv],
+        dlogz_dspeed_ratio=(sums[:, 2] / z)[inv],
     )
 
 

@@ -70,3 +70,31 @@ def run_config(seed=0, **overrides):
         rng_seed=seed,
         **overrides,
     )
+
+
+def exact_and_forward_jacobian(x, volts, ctx, ph, ra, rel_step=1e-6):
+    """Jacobians of the weighted misfits (model - (ph, ra)) / sigma with
+    respect to x = (s_parallel, coeff_per_U2 / 1e-4): the exact one from
+    the model's own pass, and forward differences of model_curve with
+    step rel_step * max(|x_k|, rel_step)."""
+    from atomfringe.fitkit import _model_pass
+
+    coeff_unit = np.array([1.0, 1e-4])
+    sigmas = np.array([PHASE_SIGMA, VIS_SIGMA])
+
+    def residuals(x):
+        mp, mr = af.model_curve(x[0], x[1] * coeff_unit[1], volts, ctx)
+        return (np.column_stack([mp - ph, mr - ra]) / sigmas).ravel()
+
+    _, _, dphase, dratio = _model_pass(x[0], x[1] * coeff_unit[1], volts, ctx)
+    exact = np.empty((2 * len(volts), 2))
+    exact[0::2] = dphase * coeff_unit / sigmas[0]
+    exact[1::2] = dratio * coeff_unit / sigmas[1]
+    r0 = residuals(x)
+    forward = np.empty_like(exact)
+    for k in range(x.size):
+        h = rel_step * max(abs(x[k]), rel_step)
+        xp = np.array(x, dtype=float)
+        xp[k] += h
+        forward[:, k] = (residuals(xp) - r0) / h
+    return exact, forward

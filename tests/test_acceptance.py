@@ -12,7 +12,6 @@ import pytest
 
 import atomfringe as af
 from atomfringe.cli import generate_synthetic, read_observations, write_observations
-from atomfringe.fitkit import _FD_REL_STEP, _forward_jacobian
 from _oracles import prism_ratio_general_angle, small_phase_vis_ratio
 from _support import (
     ALPHA_TRUE,
@@ -21,11 +20,10 @@ from _support import (
     CAP,
     DESIGN,
     GEO,
-    PHASE_SIGMA,
     S_TRUE,
     SAG_AMP,
-    VIS_SIGMA,
     VOLTS,
+    exact_and_forward_jacobian,
     model_context,
     observation_set,
     run_config,
@@ -124,29 +122,14 @@ def test_criterion_09_numerical_robustness(tmp_path):
         worst = max(worst, abs(zs[0] - zs[1]))
     assert worst <= 1e-9
 
-    # forward-difference Jacobian is step-size robust to 1e-4
+    # the fit's exact Jacobian agrees with forward differences to 1e-4
     ctx = model_context()
     volts = np.array(VOLTS)
     ph, ra = af.model_curve(S_TRUE, C_TRUE, volts, ctx)
-
-    def residuals(x):
-        mp, mr = af.model_curve(x[0], x[1] * 1e-4, volts, ctx)
-        out = np.empty(2 * len(volts))
-        out[0::2] = (mp - ph) / PHASE_SIGMA
-        out[1::2] = (mr - ra) / VIS_SIGMA
-        return out
-
     x = np.array([S_TRUE + 0.4, (C_TRUE + 2e-5) / 1e-4])
-    r0 = residuals(x)
-    J_full = _forward_jacobian(residuals, x, r0)
-    J_half = np.empty_like(J_full)
-    for k in range(x.size):
-        h = 0.5 * _FD_REL_STEP * max(abs(x[k]), _FD_REL_STEP)
-        xp = x.copy()
-        xp[k] += h
-        J_half[:, k] = (residuals(xp) - r0) / h
-    scale = np.max(np.abs(J_full), axis=0)
-    assert np.max(np.abs(J_full - J_half) / scale) <= 1e-4
+    J_exact, J_forward = exact_and_forward_jacobian(x, volts, ctx, ph, ra)
+    scale = np.max(np.abs(J_exact), axis=0)
+    assert np.max(np.abs(J_exact - J_forward) / scale) <= 1e-4
 
     # observation files re-ingest losslessly
     first = tmp_path / "obs.csv"

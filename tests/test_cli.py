@@ -216,7 +216,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     rows=st.lists(
         st.builds(af.Observation, finite, finite, positive, st.floats(0.0, 1.2), positive),
@@ -241,6 +241,24 @@ def test_synth_dash_writes_stdout(config_path, tmp_path, monkeypatch, capsys):
     assert lines[0] == ",".join(OBSERVATION_HEADER)
     assert len(lines) == 1 + len(design_doc()["voltages_V"])
     assert not (tmp_path / "-").exists()
+
+
+def test_synth_rejects_jitter_without_rotation_term(tmp_path, capsys):
+    # with the rotation term off there is no rotation phase to jitter;
+    # dropping the jitter silently would write a jitter-free file
+    doc = base_config()
+    doc["fit"] = {"include_sagnac": False}
+    config = write_config(tmp_path, doc, "nosag.json")
+    design = write_config(
+        tmp_path, design_doc(rotation_jitter_rad_per_s=1e-3), "jitter.json"
+    )
+    out = tmp_path / "obs.csv"
+    code = main(["synth", "--config", config, "--design", design, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "rotation_jitter" in err[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------- fit
@@ -505,6 +523,29 @@ def test_config_missing_geometry_field_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "geometry" in err
     assert "L_m" in err
+
+
+@pytest.mark.parametrize(
+    "averaging",
+    [
+        {"node_count": 2},
+        {"node_count": 64.5},
+        {"node_count": "257"},
+        {"width_sigmas": 0.0},
+        {"width_sigmas": -8.0},
+        {"width_sigmas": "wide"},
+    ],
+)
+def test_config_bad_averaging_exits_2(averaging, tmp_path, capsys):
+    doc = base_config()
+    doc["averaging"] = averaging
+    config = write_config(tmp_path, doc, "averaging.json")
+    out = tmp_path / "curve.csv"
+    code = main(["simulate", "--config", config, "--voltages", "0,100", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "averaging" in err[0] and next(iter(averaging)) in err[0]
 
 
 def test_obs_bad_header_exits_2(config_path, tmp_path, capsys):

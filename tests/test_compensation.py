@@ -25,7 +25,7 @@ def test_exact_null_over_grid(pol_amp, s_par):
     assert plan.visibility_ratio_at_null == pytest.approx(1.0, abs=1e-9)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     pol_amp=st.floats(min_value=-200.0, max_value=200.0),
     s_par=st.floats(min_value=5.0, max_value=12.0),

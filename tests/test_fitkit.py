@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import atomfringe as af
-from atomfringe.fitkit import _FD_REL_STEP, _forward_jacobian
 from _support import (
     C_TRUE, PHASE_SIGMA, S_TRUE, SAG_AMP, VIS_SIGMA, VOLTS,
-    model_context, observation_set, zero_noise_observations,
+    exact_and_forward_jacobian, model_context, observation_set, zero_noise_observations,
 )
 
 # frozen from tests/_oracles.py
@@ -171,28 +171,33 @@ def test_sigma_scaling_semantics():
 
 
 def test_jacobian_step_halving_consistency():
+    # the exact Jacobian the fit uses agrees with forward differences
     ctx = model_context()
     volts = np.array(VOLTS)
     ph, ra = af.model_curve(S_TRUE, C_TRUE, volts, ctx)
-
-    def residuals(x):
-        mp, mr = af.model_curve(x[0], x[1] * 1e-4, volts, ctx)
-        out = np.empty(2 * len(volts))
-        out[0::2] = (mp - ph) / PHASE_SIGMA
-        out[1::2] = (mr - ra) / VIS_SIGMA
-        return out
-
     x = np.array([S_TRUE + 0.4, (C_TRUE + 2e-5) / 1e-4])  # off-model point
-    r0 = residuals(x)
-    J_full = _forward_jacobian(residuals, x, r0)
-    J_half = np.empty_like(J_full)
-    for k in range(x.size):
-        h = 0.5 * _FD_REL_STEP * max(abs(x[k]), _FD_REL_STEP)
-        xp = x.copy()
-        xp[k] += h
-        J_half[:, k] = (residuals(xp) - r0) / h
-    scale = np.max(np.abs(J_full), axis=0)
-    assert np.max(np.abs(J_full - J_half) / scale) <= 1e-4
+    J_exact, J_forward = exact_and_forward_jacobian(x, volts, ctx, ph, ra)
+    scale = np.max(np.abs(J_exact), axis=0)
+    assert np.max(np.abs(J_exact - J_forward) / scale) <= 1e-4
+
+
+@settings(max_examples=25)
+@given(
+    s_par=st.floats(6.0, 12.0),
+    coeff=st.floats(0.5e-4, 3.0e-4),
+    ds=st.floats(-0.5, 0.5),
+    dc=st.floats(-0.2, 0.2),
+)
+def test_exact_jacobian_matches_forward_differences(s_par, coeff, ds, dc):
+    # data from (s_par, coeff) over applied amplitudes up to 25 rad; the
+    # Jacobian is taken at an offset point where the misfits are nonzero
+    ctx = model_context()
+    volts = np.linspace(0.0, math.sqrt(25.0 / coeff), 16)[1:]
+    ph, ra = af.model_curve(s_par, coeff, volts, ctx)
+    x = np.array([s_par + ds, coeff * (1.0 + dc) / 1e-4])
+    J_exact, J_forward = exact_and_forward_jacobian(x, volts, ctx, ph, ra)
+    scale = np.max(np.abs(J_exact), axis=0)
+    assert np.max(np.abs(J_exact - J_forward) / scale) <= 1e-4
 
 
 def test_uncertainties_require_convergence():

@@ -6,10 +6,12 @@ continuation); a few cases also re-run the oracle live at lower
 resolution as a cross-implementation check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import atomfringe as af
 import _oracles as orc
@@ -192,3 +194,66 @@ def test_quadrature_is_deterministic():
     assert (a.visibility, a.phase, a.phase_unwrapped) == (
         b.visibility, b.phase, b.phase_unwrapped
     )
+
+
+@settings(max_examples=40)
+@given(
+    s_par=st.floats(5.0, 12.0),
+    amps=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6),
+)
+def test_batched_curve_equals_scalar_calls(s_par, amps):
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    scales = [*amps, amps[0]]  # a repeated factor
+    scalar, first_error = [], None
+    for a in scales:
+        try:
+            scalar.append(af.averaged_fringe([T(a)], beam))
+        except af.QuadratureConvergenceError as exc:
+            first_error = first_error or str(exc)
+    if first_error is not None:
+        # the batch fails as the first failing scalar call does
+        with pytest.raises(af.QuadratureConvergenceError) as info:
+            af.averaged_fringe([T(1.0)], beam, scales=scales)
+        assert str(info.value).split(":")[0] == first_error.split(":")[0]
+        return
+    curve = af.averaged_fringe([T(1.0)], beam, scales=scales)
+    for j, ob in enumerate(scalar):
+        assert abs(curve.visibility[j] - ob.visibility) <= 1e-14
+        assert abs(curve.phase_unwrapped[j] - ob.phase_unwrapped) <= 1e-14 / ob.visibility
+    for values in dataclasses.astuple(curve):
+        assert values.shape == (len(scales),)
+        assert values[-1] == values[0]
+
+
+@settings(max_examples=12)
+@given(
+    s_par=st.floats(8.0, 12.0),
+    ratio=st.floats(-3.0, -2.0),
+    start=st.floats(0.0, 43.0),
+)
+# S = 8, u/v : (u/v)^2 = -2.8 : 1 has a visibility null near factor 42.45
+@example(s_par=8.0, ratio=-2.8, start=41.5)
+def test_unwrapped_phase_is_continuous_along_sweeps(s_par, ratio, start):
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    sweep = np.linspace(start, start + 2.0, 801)
+    curve = af.averaged_fringe([T(ratio, 1), T(1.0, 2)], beam, scales=sweep)
+    # a 2 pi slip would show as a step of more than pi between neighbours
+    assert np.all(np.abs(np.diff(curve.phase_unwrapped)) < math.pi)
+    # and it stays snapped to the principal value
+    k = np.round((curve.phase_unwrapped - curve.phase) / (2.0 * math.pi))
+    assert np.all(curve.phase_unwrapped == curve.phase + 2.0 * math.pi * k)
+
+
+def test_visibility_null_is_crossed_by_the_continuity_sweep():
+    # the explicit example above does pass through a deep null
+    beam = af.BeamModel(u=BEAM.u, s_parallel=8.0)
+    curve = af.averaged_fringe(
+        [T(-2.8, 1), T(1.0, 2)], beam, scales=np.linspace(41.5, 43.5, 801)
+    )
+    assert curve.visibility.min() < 1e-2 * curve.visibility.max()
+
+
+def test_scales_are_validated():
+    for bad in ([], [[1.0, 2.0]], [1.0, math.nan], [math.inf]):
+        with pytest.raises(ValueError):
+            af.averaged_fringe([T(1.0)], BEAM, scales=bad)
