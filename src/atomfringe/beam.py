@@ -103,7 +103,9 @@ def default_support(
     The lower edge is max(u - width_sigmas * sigma, 1e-3 * u) so the
     1/v factors in the phase terms stay finite for broad beams.  At the
     default width the two-sided Gaussian mass outside the window is
-    ~1.4e-15, far below the quadrature tolerance.
+    ~1.4e-15, far below the quadrature tolerance; below a speed ratio
+    of about 4.25 the clamp cuts off more than that tolerance, and the
+    velocity average refuses such a window.
     """
     if width_sigmas <= 0.0:
         raise ValueError(f"width_sigmas must be positive, got {width_sigmas}")

@@ -170,7 +170,8 @@ def load_config(path: str) -> RunConfig:
     geometry_factor_G_per_m, arm_sign) and "beam" (u_m_per_s,
     s_parallel).  Optional: alpha_m3, prism_n, "averaging"
     (width_sigmas, node_count), "fit" (include_sagnac, max_iterations,
-    chi2_scaling), rng_seed.
+    chi2_scaling), rng_seed.  Values of the wrong JSON type raise
+    ParseError: the fit flags must be true or false, the counts integers.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -208,6 +209,18 @@ def load_config(path: str) -> RunConfig:
             f"{path}: section 'averaging': width_sigmas must be a positive "
             f"finite number, got {width_sigmas!r}"
         )
+    flags = {name: fit_opts.get(name, True) for name in ("include_sagnac", "chi2_scaling")}
+    for name, flag in flags.items():
+        if type(flag) is not bool:  # the string "false" would read as True
+            raise ParseError(
+                f"{path}: section 'fit': {name} must be true or false, got {flag!r}"
+            )
+    max_iterations = fit_opts.get("max_iterations", 200)
+    if type(max_iterations) is not int or max_iterations < 1:
+        raise ParseError(
+            f"{path}: section 'fit': max_iterations must be an integer "
+            f"of at least 1, got {max_iterations!r}"
+        )
     try:
         alpha = doc.get("alpha_m3")
         return RunConfig(
@@ -218,9 +231,8 @@ def load_config(path: str) -> RunConfig:
             prism=PrismGeometry(refractive_index_n=float(doc.get("prism_n", 1.46))),
             width_sigmas=float(width_sigmas),
             node_count=node_count,
-            include_sagnac=bool(fit_opts.get("include_sagnac", True)),
-            max_iterations=int(fit_opts.get("max_iterations", 200)),
-            chi2_scaling=bool(fit_opts.get("chi2_scaling", True)),
+            max_iterations=max_iterations,
+            **flags,
             rng_seed=int(doc.get("rng_seed", 0)),
         )
     except (TypeError, ValueError) as exc:

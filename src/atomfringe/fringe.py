@@ -18,15 +18,24 @@ result is not trusted and QuadratureConvergenceError is raised (raise
 node_count in that case).  The density is not renormalised on the
 window, so a visibility carries the quadrature's mass error (at most
 1e-12 on the default 8-sigma window when it is not clamped at 1e-3 u)
-and may read above v0 by that much.
+and may read above v0 by that much.  A window that leaves more than
+QUADRATURE_TOL of the beam's Gaussian mass outside (speed ratios below
+about 4.25 at the default width, or width_sigmas below about 6.1)
+raises QuadratureConvergenceError instead of reporting that mass as
+lost visibility.  Both node grids, with the density folded into their
+weights, are built once per (beam, support) and cached.
 
 Phases beyond the principal branch are recovered by continuation: the
 whole term list is scaled from 0 to its factor in steps small enough
 that the averaged phase never jumps by pi/2, refining near visibility
-nulls where the phase slews quickly.  A call with several factors
-(``scales``) makes one such walk from 0 to the farthest factor on each
-side of zero, with every requested factor on the path, so a whole
-curve of u/v amplitudes costs one pass over the velocity grid.
+nulls where the phase slews quickly.  The step count comes from the
+net amplitude per exponent, sum_e |sum_{k: e_k = e} A_k|, which bounds
+|phi| pointwise: a tuned null (u/v terms summing to 0) takes no walk,
+and a Roberts mixture walks only as far as its uncancelled part.  A
+call with several factors (``scales``) makes one such walk from 0 to
+the farthest factor on each side of zero, with every requested factor
+on the path, so a whole curve of u/v amplitudes costs one pass over
+the velocity grid.
 """
 
 from __future__ import annotations
@@ -115,6 +124,32 @@ def _grid(support: VelocitySupport):
     return mid + half * x, half * w
 
 
+@lru_cache(maxsize=64)
+def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
+    """Read-only nodes and density-weighted weights (v, w P, v2, w2 P)
+    of the n and 2n - 1 node grids; raises QuadratureConvergenceError
+    when more than QUADRATURE_TOL of the beam lies outside the window.
+    """
+    s_over_u = beam.s_parallel / beam.u
+    outside = 0.5 * math.erfc((beam.u - support.v_min) * s_over_u) + 0.5 * math.erfc(
+        (support.v_max - beam.u) * s_over_u
+    )
+    if outside > QUADRATURE_TOL:
+        raise QuadratureConvergenceError(
+            f"velocity window [{support.v_min:.6g}, {support.v_max:.6g}] m/s leaves "
+            f"{outside:.3e} > {QUADRATURE_TOL:g} of the beam density outside at speed "
+            f"ratio {beam.s_parallel:g}; widen width_sigmas (below a speed ratio of "
+            "about 4.25 the 1e-3 u floor of the window cuts the beam)"
+        )
+    v, w = _grid(support)
+    n2 = 2 * support.node_count - 1
+    v2, w2 = _grid(VelocitySupport(support.v_min, support.v_max, n2))
+    nodes = (v, w * velocity_pdf(beam, v), v2, w2 * velocity_pdf(beam, v2))
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
 def _phase_profile(terms, beam: BeamModel, v):
     phi = np.zeros_like(v)
     u_over_v = beam.u / v
@@ -181,8 +216,7 @@ def averaged_fringe(
     else:
         s, inv = _UNIT_SCALE, _UNIT_INDEX
 
-    v, w = _grid(support)
-    wp = w * velocity_pdf(beam, v)
+    v, wp, v2, wp2 = _weighted_nodes(beam, support)
     phi = _phase_profile(terms, beam, v)
     rows = np.exp(1j * (s[:, None] * phi))
     if curve:
@@ -195,11 +229,7 @@ def averaged_fringe(
         z = rows @ wp
 
     # doubling check, every row against the same 2n - 1 node grid
-    n2 = 2 * support.node_count - 1
-    v2, w2 = _grid(VelocitySupport(support.v_min, support.v_max, n2))
-    z2 = np.exp(1j * (s[:, None] * _phase_profile(terms, beam, v2))) @ (
-        w2 * velocity_pdf(beam, v2)
-    )
+    z2 = np.exp(1j * (s[:, None] * _phase_profile(terms, beam, v2))) @ wp2
     dz = np.abs(z - z2)
     vis = np.abs(z)
     bad = dz > QUADRATURE_TOL
@@ -213,7 +243,7 @@ def averaged_fringe(
         if dz[j] > QUADRATURE_TOL:
             raise QuadratureConvergenceError(
                 f"velocity average not converged: {support.node_count} nodes gave "
-                f"{complex(z[j]):.12e}, {n2} nodes gave {complex(z2[j]):.12e} "
+                f"{complex(z[j]):.12e}, {v2.size} nodes gave {complex(z2[j]):.12e} "
                 f"(moved {dz[j]:.3e} > {QUADRATURE_TOL:g}); raise node_count"
             )
         raise QuadratureConvergenceError(
@@ -224,17 +254,24 @@ def averaged_fringe(
         )
 
     principal = np.angle(z)
-    l1 = float(sum(abs(t.amplitude_at_mean) for t in terms))
+    # phi is exactly sum_e net_e (u/v)^e, so the amplitudes summed per
+    # exponent bound |phi| pointwise, never above sum_k |A_k|; a tuned
+    # null (net 0 per exponent) needs no walk at all
+    net = {}
+    for t in terms:
+        net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
+    l1 = float(sum(abs(a) for a in net.values()))
     if not unwrap:
         unwrapped = np.full(s.size, math.nan)
     elif l1 == 0.0:
         unwrapped = principal
     else:
-        # one walk from 0 to the farthest factor on each side: l1
-        # bounds |d arg / d s| up to the distribution's (u/v)^2 reach,
-        # so ceil(|s| l1) steps keep each jump well under pi/2; steps
-        # that still jump too far (near visibility nulls) are bisected.
-        # Every requested factor lies on the path (tag = its row).
+        # one walk from 0 to the farthest factor on each side: the net
+        # amplitude l1 bounds |d arg / d s| up to the distribution's
+        # (u/v)^2 reach, so ceil(|s| l1) steps keep each jump well under
+        # pi/2; steps that still jump too far (near visibility nulls) are
+        # bisected.  Every requested factor lies on the path (tag = its
+        # row).
         lo, hi = min(s[0], 0.0), max(s[-1], 0.0)
         walk = np.concatenate([
             np.linspace(lo, 0.0, int(math.ceil(-lo * l1)) + 1),

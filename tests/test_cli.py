@@ -548,6 +548,46 @@ def test_config_bad_averaging_exits_2(averaging, tmp_path, capsys):
     assert "averaging" in err[0] and next(iter(averaging)) in err[0]
 
 
+@pytest.mark.parametrize(
+    "fit_opts",
+    [
+        {"include_sagnac": "false"},
+        {"include_sagnac": 0},
+        {"chi2_scaling": "no"},
+        {"chi2_scaling": 1},
+        {"max_iterations": 0},
+        {"max_iterations": True},
+        {"max_iterations": "200"},
+        {"max_iterations": 20.5},
+    ],
+)
+def test_config_bad_fit_options_exits_2(fit_opts, tmp_path, capsys):
+    doc = base_config()
+    doc["fit"] = fit_opts
+    config = write_config(tmp_path, doc, "fit_opts.json")
+    out = tmp_path / "curve.csv"
+    code = main(["simulate", "--config", config, "--voltages", "0,100", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "'fit'" in err[0] and next(iter(fit_opts)) in err[0]
+
+
+def test_narrow_window_exits_1(tmp_path, capsys):
+    # a 4-sigma window leaves 6e-5 of the beam outside, far above the
+    # quadrature tolerance, so the average refuses instead of reporting
+    # that mass as lost visibility
+    doc = base_config()
+    doc["averaging"] = {"width_sigmas": 4}
+    config = write_config(tmp_path, doc, "narrow.json")
+    out = tmp_path / "curve.csv"
+    code = main(["simulate", "--config", config, "--voltages", "0,100", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "width_sigmas" in err[0]
+
+
 def test_obs_bad_header_exits_2(config_path, tmp_path, capsys):
     obs = tmp_path / "bad.csv"
     obs.write_text("volts,phase\n1,2\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Joint phase + visibility fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,34 @@ def test_observation_order_does_not_matter():
     res_b = af.fit(observation_set(tuple(reversed(obs))))
     assert res_a.s_parallel == pytest.approx(res_b.s_parallel, rel=1e-9)
     assert res_a.coeff_per_U2 == pytest.approx(res_b.coeff_per_U2, rel=1e-9)
+
+
+@settings(max_examples=20)
+@given(
+    flips=st.lists(st.booleans(), min_size=len(VOLTS), max_size=len(VOLTS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_is_invariant_when_voltage_signs_flip(flips, seed):
+    # the model sees only U^2, so negating every voltage of a noisy,
+    # mixed-sign set must leave every bit of the fit unchanged
+    rng = np.random.default_rng(seed)
+    obs = [
+        dataclasses.replace(
+            o,
+            voltage_U=-o.voltage_U if flip else o.voltage_U,
+            phase_meas=o.phase_meas + rng.normal(0.0, PHASE_SIGMA),
+            vis_ratio=o.vis_ratio + rng.normal(0.0, VIS_SIGMA),
+        )
+        for o, flip in zip(zero_noise_observations(), flips)
+    ]
+    flipped = [dataclasses.replace(o, voltage_U=-o.voltage_U) for o in obs]
+    res = af.fit(observation_set(obs))
+    res_flipped = af.fit(observation_set(flipped))
+    for name in ("s_parallel", "coeff_per_U2", "chi_square", "converged", "iterations",
+                 "cost_history"):
+        assert getattr(res_flipped, name) == getattr(res, name)
+    assert np.array_equal(res_flipped.covariance, res.covariance)
+    assert np.array_equal(res_flipped.residuals, res.residuals)
 
 
 def test_sigma_scaling_semantics():

@@ -196,6 +196,43 @@ def test_quadrature_is_deterministic():
     )
 
 
+def test_window_mass_check():
+    # the density is not renormalised, so beam mass outside the window
+    # would read as lost visibility: more than QUADRATURE_TOL raises
+    with pytest.raises(af.QuadratureConvergenceError, match="speed ratio 3;"):
+        af.averaged_fringe([], af.BeamModel(u=BEAM.u, s_parallel=3.0))
+    with pytest.raises(af.QuadratureConvergenceError, match="widen width_sigmas"):
+        af.averaged_fringe([], BEAM, support=af.default_support(BEAM, width_sigmas=4.0))
+    # just past both thresholds (S about 4.25, width about 6.1 sigma)
+    ob = af.averaged_fringe([], af.BeamModel(u=BEAM.u, s_parallel=4.3))
+    assert abs(ob.visibility - 1.0) <= af.QUADRATURE_TOL
+    ob = af.averaged_fringe([], BEAM, support=af.default_support(BEAM, width_sigmas=6.2))
+    assert abs(ob.visibility - 1.0) <= af.QUADRATURE_TOL
+
+
+@settings(max_examples=40)
+@given(
+    s_par=st.floats(8.0, 12.0),
+    a=st.floats(-60.0, 60.0),
+    b=st.floats(-300.0, 300.0),
+    c=st.floats(0.0, 100.0),
+)
+def test_split_terms_match_the_merged_term(s_par, a, b, c):
+    # the pieces' sum of |A| is far above the net amplitude |a| that
+    # sizes their continuation walk; a walk too short for them would
+    # land the phase on another 2 pi branch.  The reference sweeps the
+    # merged term densely, so its path does not depend on that bound.
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    sweep = np.linspace(0.0, 1.0, 4 * math.ceil(abs(a)) + 2)
+    whole = af.averaged_fringe([T(a)], beam, scales=sweep)
+    split = af.averaged_fringe([T(b), T(a - b), T(c, 2), T(-c, 2)], beam)
+    tol = 10.0 * af.QUADRATURE_TOL
+    gap = split.phase_unwrapped - whole.phase_unwrapped[-1]
+    assert abs(gap) < math.pi  # same branch
+    assert abs(gap) <= tol / whole.visibility[-1]
+    assert abs(split.visibility - whole.visibility[-1]) <= tol
+
+
 @settings(max_examples=40)
 @given(
     s_par=st.floats(5.0, 12.0),
