@@ -27,6 +27,7 @@ from .fitkit import (
 )
 from .fringe import (
     QUADRATURE_TOL,
+    FringeCurve,
     FringeObservable,
     QuadratureConvergenceError,
     averaged_fringe,
@@ -45,7 +46,6 @@ from .phase import (
     PrismGeometry,
     RobertsCounterphase,
     alpha_from_coefficient,
-    evaluate,
     geometry_from_config,
     mirror_sagnac_term,
     omega_y,

@@ -19,7 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BeamModel", "VelocitySupport", "velocity_pdf", "default_support"]
+__all__ = [
+    "DEFAULT_WIDTH_SIGMAS",
+    "DEFAULT_NODE_COUNT",
+    "BeamModel",
+    "VelocitySupport",
+    "velocity_pdf",
+    "default_support",
+]
+
+# the averaging window (in Gaussian sigmas) and Gauss-Legendre order
+# used wherever a run does not set its own
+DEFAULT_WIDTH_SIGMAS = 8.0
+DEFAULT_NODE_COUNT = 257
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,7 @@ class VelocitySupport:
 
     v_min: float
     v_max: float
-    node_count: int = 257
+    node_count: int = DEFAULT_NODE_COUNT
 
     def __post_init__(self):
         if not 0.0 < self.v_min < self.v_max:
@@ -96,7 +108,9 @@ def velocity_pdf(beam: BeamModel, v):
 
 
 def default_support(
-    beam: BeamModel, width_sigmas: float = 8.0, node_count: int = 257
+    beam: BeamModel,
+    width_sigmas: float = DEFAULT_WIDTH_SIGMAS,
+    node_count: int = DEFAULT_NODE_COUNT,
 ) -> VelocitySupport:
     """Symmetric +/- width_sigmas window, clamped away from v = 0.
 

@@ -29,7 +29,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beam import BeamModel, VelocitySupport, default_support
+from .beam import (
+    DEFAULT_NODE_COUNT,
+    DEFAULT_WIDTH_SIGMAS,
+    BeamModel,
+    VelocitySupport,
+    default_support,
+)
 from .compensation import residual_dispersion, tune_counterphase
 from .fitkit import (
     ModelContext,
@@ -85,8 +91,8 @@ class RunConfig:
     beam: BeamModel
     alpha_m3: float | None = None
     prism: PrismGeometry = PrismGeometry(refractive_index_n=1.46)
-    width_sigmas: float = 8.0
-    node_count: int = 257
+    width_sigmas: float = DEFAULT_WIDTH_SIGMAS
+    node_count: int = DEFAULT_NODE_COUNT
     include_sagnac: bool = True
     max_iterations: int = 200
     chi2_scaling: bool = True
@@ -147,6 +153,23 @@ class SyntheticDesign:
                 raise ValueError(f"{name} must be non-negative")
 
 
+def _number(value, what, *, integer=False, least=-math.inf, positive=False):
+    """value when it is a finite JSON number (an int if integer) of at
+    least least (above 0 if positive); ParseError naming what otherwise."""
+    # exact type checks: JSON true/false must not pass as 1/0, "1.5" as 1.5
+    if (
+        type(value) not in ((int,) if integer else (int, float))
+        or not math.isfinite(value)
+        or value < least
+        or (positive and not value > 0)
+    ):
+        kind = "an integer" if integer else "a finite number"
+        bound = f" of at least {least:g}" if least > -math.inf else ""
+        bound = " above 0" if positive else bound
+        raise ParseError(f"{what} must be {kind}{bound}, got {value!r}")
+    return value
+
+
 def _require(mapping, key, where):
     if key not in mapping:
         raise ParseError(f"{where}: missing field '{key}'")
@@ -171,69 +194,68 @@ def load_config(path: str) -> RunConfig:
     s_parallel).  Optional: alpha_m3, prism_n, "averaging"
     (width_sigmas, node_count), "fit" (include_sagnac, max_iterations,
     chi2_scaling), rng_seed.  Values of the wrong JSON type raise
-    ParseError: the fit flags must be true or false, the counts integers.
+    ParseError: the fit flags must be true or false, the counts and the
+    seed integers, every other value a finite number.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    geo_map = _require(doc, "geometry", path)
-    beam_map = _require(doc, "beam", path)
+    sections = {
+        "geometry": _require(doc, "geometry", path),
+        "beam": _require(doc, "beam", path),
+        "averaging": doc.get("averaging", {}),
+        "fit": doc.get("fit", {}),
+    }
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise ParseError(f"{path}: section '{name}' must be a JSON object")
+    for name in ("geometry", "beam"):
+        for key, value in sections[name].items():
+            _number(value, f"{path}: section '{name}': {key}")
     try:
-        geometry, capacitor = geometry_from_config(geo_map)
+        geometry, capacitor = geometry_from_config(sections["geometry"])
     except KeyError as exc:
         raise ParseError(f"{path}: section 'geometry': missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: section 'geometry': {exc}") from exc
     try:
-        beam = BeamModel.from_config(beam_map)
+        beam = BeamModel.from_config(sections["beam"])
     except KeyError as exc:
         raise ParseError(f"{path}: section 'beam': missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: section 'beam': {exc}") from exc
 
-    averaging = doc.get("averaging", {})
-    fit_opts = doc.get("fit", {})
-    for name, section in (("averaging", averaging), ("fit", fit_opts)):
-        if not isinstance(section, dict):
-            raise ParseError(f"{path}: section '{name}' must be a JSON object")
-    node_count = averaging.get("node_count", 257)
-    width_sigmas = averaging.get("width_sigmas", 8.0)
-    # exact type checks: JSON true/false must not pass as 1/0
-    if type(node_count) is not int or node_count < 3:
-        raise ParseError(
-            f"{path}: section 'averaging': node_count must be an integer "
-            f"of at least 3, got {node_count!r}"
-        )
-    if type(width_sigmas) not in (int, float) or not 0.0 < width_sigmas < math.inf:
-        raise ParseError(
-            f"{path}: section 'averaging': width_sigmas must be a positive "
-            f"finite number, got {width_sigmas!r}"
-        )
+    def option(name, key, default, **bounds):
+        value = sections[name].get(key, default)
+        return _number(value, f"{path}: section '{name}': {key}", **bounds)
+
+    node_count = option("averaging", "node_count", DEFAULT_NODE_COUNT, integer=True, least=3)
+    width_sigmas = option("averaging", "width_sigmas", DEFAULT_WIDTH_SIGMAS, positive=True)
+    fit_opts = sections["fit"]
     flags = {name: fit_opts.get(name, True) for name in ("include_sagnac", "chi2_scaling")}
     for name, flag in flags.items():
         if type(flag) is not bool:  # the string "false" would read as True
             raise ParseError(
                 f"{path}: section 'fit': {name} must be true or false, got {flag!r}"
             )
-    max_iterations = fit_opts.get("max_iterations", 200)
-    if type(max_iterations) is not int or max_iterations < 1:
-        raise ParseError(
-            f"{path}: section 'fit': max_iterations must be an integer "
-            f"of at least 1, got {max_iterations!r}"
-        )
+    max_iterations = option("fit", "max_iterations", 200, integer=True, least=1)
+    alpha = doc.get("alpha_m3")
+    if alpha is not None:
+        alpha = float(_number(alpha, f"{path}: alpha_m3", positive=True))
+    prism_n = _number(doc.get("prism_n", 1.46), f"{path}: prism_n")
+    rng_seed = _number(doc.get("rng_seed", 0), f"{path}: rng_seed", integer=True, least=0)
     try:
-        alpha = doc.get("alpha_m3")
         return RunConfig(
             geometry=geometry,
             capacitor=capacitor,
             beam=beam,
-            alpha_m3=None if alpha is None else float(alpha),
-            prism=PrismGeometry(refractive_index_n=float(doc.get("prism_n", 1.46))),
+            alpha_m3=alpha,
+            prism=PrismGeometry(refractive_index_n=float(prism_n)),
             width_sigmas=float(width_sigmas),
             node_count=node_count,
             max_iterations=max_iterations,
             **flags,
-            rng_seed=int(doc.get("rng_seed", 0)),
+            rng_seed=rng_seed,
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -245,14 +267,20 @@ def load_design(path: str) -> SyntheticDesign:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     volts = _require(doc, "voltages_V", path)
-    try:
-        return SyntheticDesign(
-            voltages=tuple(float(v) for v in volts),
-            phase_sigma_base=float(doc.get("phase_sigma_base_rad", 0.0)),
-            phase_sigma_per_rad=float(doc.get("phase_sigma_per_rad", 0.0)),
-            vis_sigma=float(doc.get("vis_sigma", 0.0)),
-            rotation_jitter=float(doc.get("rotation_jitter_rad_per_s", 0.0)),
+    if not isinstance(volts, list):
+        raise ParseError(f"{path}: voltages_V must be a JSON array, got {volts!r}")
+    voltages = tuple(_number(v, f"{path}: voltages_V entry") for v in volts)
+    noise = {
+        name: float(_number(doc.get(key, 0.0), f"{path}: {key}"))
+        for name, key in (
+            ("phase_sigma_base", "phase_sigma_base_rad"),
+            ("phase_sigma_per_rad", "phase_sigma_per_rad"),
+            ("vis_sigma", "vis_sigma"),
+            ("rotation_jitter", "rotation_jitter_rad_per_s"),
         )
+    }
+    try:
+        return SyntheticDesign(voltages, **noise)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -349,6 +377,7 @@ def read_observations(path: str) -> tuple[Observation, ...]:
                     raise ParseError(
                         f"{path}:{lineno}: field '{name}': not a number: {cell!r}"
                     ) from None
+                _number(values[name], f"{path}:{lineno}: field '{name}'")
             try:
                 observations.append(
                     Observation(
@@ -396,9 +425,10 @@ def _write_csv(path, header, rows) -> None:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
+    return [_number(x, flag) for x in values]
 
 
 # ---------------------------------------------------------------- commands
@@ -418,7 +448,8 @@ def _cmd_constants(args) -> int:
 def _voltage_grid(args) -> list[float]:
     if args.voltages is not None:
         return _parse_float_list(args.voltages, "--voltages")
-    return list(np.linspace(0.0, args.u_max, args.points))
+    points = _number(args.points, "--points", integer=True, least=1)
+    return list(np.linspace(0.0, args.u_max, points))
 
 
 def _cmd_simulate(args) -> int:
@@ -542,8 +573,21 @@ def _cmd_residual(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    try:
+        return _number(float(text), text)
+    except ValueError:  # ParseError included
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad flag is a parse problem like any other: one line, exit 2
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="atomfringe",
         description="velocity-averaged fringe simulation, fitting and dispersion compensation",
     )
@@ -557,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="model curves over a voltage sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--voltages", help="comma-separated voltage list")
-    p.add_argument("--u-max", type=float, default=400.0, help="sweep end (V)")
+    p.add_argument("--u-max", type=_finite_float, default=400.0, help="sweep end (V)")
     p.add_argument("--points", type=int, default=17, help="sweep point count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -582,15 +626,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="design a counterphase")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pol-amplitude", type=float, help="pol amplitude at v=u (rad)")
-    group.add_argument("--voltage", type=float, help="capacitor voltage (needs alpha_m3)")
+    group.add_argument("--pol-amplitude", type=_finite_float, help="pol amplitude at v=u (rad)")
+    group.add_argument("--voltage", type=_finite_float, help="capacitor voltage (needs alpha_m3)")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("residual", help="Roberts-mixture dispersion scan")
     p.add_argument("--config", required=True)
-    p.add_argument("--pol-amplitude", type=float, required=True)
+    p.add_argument("--pol-amplitude", type=_finite_float, required=True)
     p.add_argument("--v2", required=True, help="comma-separated (u/v)^2 amplitudes")
     p.add_argument(
         "--v1",
@@ -603,8 +647,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

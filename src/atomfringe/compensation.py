@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from .beam import BeamModel, VelocitySupport
 from .fringe import averaged_fringe
 from .phase import (
-    HBAR_J_S,
-    VACUUM_PERMITTIVITY_F_PER_M,
     DispersivePhaseTerm,
     InterferometerGeometry,
     MirrorMotion,
     PrismGeometry,
+    alpha_from_coefficient,
     prism_displacement_ratio,
     required_mirror_velocity,
     sustain_time,
@@ -132,8 +131,6 @@ def extract_alpha_compensated(
     voltage_U defaults to 1 for the G-normalized (per-volt-squared)
     form.
     """
-    if geometry_factor_G == 0.0:
-        raise ValueError("geometry factor G must be nonzero")
     if voltage_U == 0.0:
         raise ValueError("voltage must be nonzero to normalize the extraction")
     total = (
@@ -143,14 +140,4 @@ def extract_alpha_compensated(
         * geometry.grating_separation_L
         + u * measured_residual
     )
-    return (
-        total
-        * HBAR_J_S
-        / (
-            2.0
-            * math.pi
-            * VACUUM_PERMITTIVITY_F_PER_M
-            * geometry_factor_G
-            * voltage_U**2
-        )
-    )
+    return alpha_from_coefficient(total / voltage_U**2, geometry_factor_G, 1.0)

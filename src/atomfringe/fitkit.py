@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import BeamModel, default_support
+from .beam import DEFAULT_NODE_COUNT, DEFAULT_WIDTH_SIGMAS, BeamModel, default_support
 from .fringe import QuadratureConvergenceError, averaged_fringe
 from .phase import DispersivePhaseTerm
 
@@ -97,8 +97,8 @@ class ModelContext:
 
     beam_u: float
     sagnac_amplitude_at_mean: float
-    width_sigmas: float = 8.0
-    node_count: int = 257
+    width_sigmas: float = DEFAULT_WIDTH_SIGMAS
+    node_count: int = DEFAULT_NODE_COUNT
 
     def __post_init__(self):
         if not self.beam_u > 0.0:

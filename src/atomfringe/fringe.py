@@ -1,11 +1,14 @@
 """Velocity-averaged fringe observables.
 
-The interferometer signal is I = I0 [1 + V cos(psi + phi)].  With a
-velocity-dispersive phase phi(v) = sum_k A_k (u/v)^e_k, the fringe
-observed on the full beam is the modulus and argument of the complex
-average
+The interferometer signal is I = I0 [1 + V cos(psi + phi)].  A term
+list A_k (u/v)^e_k, e_k in {0, 1, 2}, is folded once into its net
+amplitude per exponent, net_e = sum_{k: e_k = e} A_k, so the phase is
+the polynomial phi(v) = sum_e net_e (u/v)^e (a counterphase that zeroes
+the u/v coefficient leaves phi exactly 0).  The fringe observed on the
+full beam, relative to a monochromatic one, is the modulus and argument
+of the complex average
 
-    Z = v0 * Int P(v) exp(i phi(v)) dv ,
+    Z = Int P(v) exp(i phi(v)) dv ,
 
 so visibility = |Z| and phase = arg Z.  This average is nonlinear: the
 phase of a combined term list is not the sum of the individually
@@ -18,7 +21,7 @@ result is not trusted and QuadratureConvergenceError is raised (raise
 node_count in that case).  The density is not renormalised on the
 window, so a visibility carries the quadrature's mass error (at most
 1e-12 on the default 8-sigma window when it is not clamped at 1e-3 u)
-and may read above v0 by that much.  A window that leaves more than
+and may read above 1 by that much.  A window that leaves more than
 QUADRATURE_TOL of the beam's Gaussian mass outside (speed ratios below
 about 4.25 at the default width, or width_sigmas below about 6.1)
 raises QuadratureConvergenceError instead of reporting that mass as
@@ -29,9 +32,9 @@ Phases beyond the principal branch are recovered by continuation: the
 whole term list is scaled from 0 to its factor in steps small enough
 that the averaged phase never jumps by pi/2, refining near visibility
 nulls where the phase slews quickly.  The step count comes from the
-net amplitude per exponent, sum_e |sum_{k: e_k = e} A_k|, which bounds
-|phi| pointwise: a tuned null (u/v terms summing to 0) takes no walk,
-and a Roberts mixture walks only as far as its uncancelled part.  A
+same fold, l1 = sum_e |net_e|, which bounds the averaged polynomial
+pointwise: a tuned null (u/v terms summing to 0) takes no walk, and a
+Roberts mixture walks only as far as its uncancelled part.  A
 call with several factors (``scales``) makes one such walk from 0 to
 the farthest factor on each side of zero, with every requested factor
 on the path, so a whole curve of u/v amplitudes costs one pass over
@@ -86,7 +89,6 @@ class FringeObservable:
     visibility: float
     phase: float
     phase_unwrapped: float
-    v0_reference: float
 
 
 @dataclass(frozen=True)
@@ -150,18 +152,17 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
     return nodes
 
 
-def _phase_profile(terms, beam: BeamModel, v):
+def _phase_profile(net, beam: BeamModel, v):
     phi = np.zeros_like(v)
     u_over_v = beam.u / v
-    for t in terms:
-        phi += t.amplitude_at_mean * u_over_v ** t.exponent
+    for exponent, amplitude in net.items():
+        phi += amplitude * u_over_v**exponent
     return phi
 
 
 def averaged_fringe(
     terms,
     beam: BeamModel,
-    v0: float = 1.0,
     support: VelocitySupport | None = None,
     *,
     unwrap: bool = True,
@@ -172,10 +173,9 @@ def averaged_fringe(
     Parameters
     ----------
     terms : sequence of DispersivePhaseTerm
-        Phase contributions, summed pointwise in velocity.
+        Phase contributions, folded once into the net amplitude per
+        exponent (terms of one exponent enter through their sum).
     beam : BeamModel
-    v0 : float
-        Monochromatic (zero-dispersion) visibility, in (0, 1].
     support : VelocitySupport, optional
         Integration window and node count; defaults to the beam's
         8-sigma window at 257 nodes.
@@ -202,8 +202,6 @@ def averaged_fringe(
         track the phase through a visibility null.  With scales, the
         first failing entry in input order is reported.
     """
-    if not 0.0 < v0 <= 1.0:
-        raise ValueError(f"v0 must be in (0, 1], got {v0}")
     if support is None:
         support = default_support(beam)
     curve = scales is not None
@@ -216,8 +214,12 @@ def averaged_fringe(
     else:
         s, inv = _UNIT_SCALE, _UNIT_INDEX
 
+    # the one pass over terms: both grids and the walk bound use net
+    net = {}
+    for t in terms:
+        net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
     v, wp, v2, wp2 = _weighted_nodes(beam, support)
-    phi = _phase_profile(terms, beam, v)
+    phi = _phase_profile(net, beam, v)
     rows = np.exp(1j * (s[:, None] * phi))
     if curve:
         # d ln P / d S at fixed u; the window's own motion with S only
@@ -229,7 +231,7 @@ def averaged_fringe(
         z = rows @ wp
 
     # doubling check, every row against the same 2n - 1 node grid
-    z2 = np.exp(1j * (s[:, None] * _phase_profile(terms, beam, v2))) @ wp2
+    z2 = np.exp(1j * (s[:, None] * _phase_profile(net, beam, v2))) @ wp2
     dz = np.abs(z - z2)
     vis = np.abs(z)
     bad = dz > QUADRATURE_TOL
@@ -254,12 +256,7 @@ def averaged_fringe(
         )
 
     principal = np.angle(z)
-    # phi is exactly sum_e net_e (u/v)^e, so the amplitudes summed per
-    # exponent bound |phi| pointwise, never above sum_k |A_k|; a tuned
-    # null (net 0 per exponent) needs no walk at all
-    net = {}
-    for t in terms:
-        net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
+    # bounds the averaged polynomial itself; 0 at a tuned null (no walk)
     l1 = float(sum(abs(a) for a in net.values()))
     if not unwrap:
         unwrapped = np.full(s.size, math.nan)
@@ -308,13 +305,12 @@ def averaged_fringe(
 
     if not curve:
         return FringeObservable(
-            visibility=float(v0 * vis[0]),
+            visibility=float(vis[0]),
             phase=float(principal[0]),
             phase_unwrapped=float(unwrapped[0]),
-            v0_reference=v0,
         )
     return FringeCurve(
-        visibility=v0 * vis[inv],
+        visibility=vis[inv],
         phase=principal[inv],
         phase_unwrapped=unwrapped[inv],
         dlogz_dscale=(1j * sums[:, 1] / z)[inv],
@@ -326,7 +322,6 @@ def measured_phase_shift(
     terms_on,
     terms_off,
     beam: BeamModel,
-    v0: float = 1.0,
     support: VelocitySupport | None = None,
 ) -> float:
     """Difference of unwrapped averaged phases, terms_on minus terms_off.
@@ -336,8 +331,8 @@ def measured_phase_shift(
     velocity-averaged (the always-present terms do not subtract out
     exactly because the average is nonlinear).
     """
-    on = averaged_fringe(terms_on, beam, v0, support)
-    off = averaged_fringe(terms_off, beam, v0, support)
+    on = averaged_fringe(terms_on, beam, support)
+    off = averaged_fringe(terms_off, beam, support)
     return on.phase_unwrapped - off.phase_unwrapped
 
 
@@ -345,7 +340,6 @@ def non_additivity_gap(
     term_a: DispersivePhaseTerm,
     term_b: DispersivePhaseTerm,
     beam: BeamModel,
-    v0: float = 1.0,
     support: VelocitySupport | None = None,
 ) -> float:
     """<phase of a+b> - <phase of a> - <phase of b>.
@@ -353,20 +347,18 @@ def non_additivity_gap(
     Zero for a monochromatic beam; nonzero in general because averaging
     the phase is not linear in the terms.
     """
-    both = averaged_fringe([term_a, term_b], beam, v0, support)
-    only_a = averaged_fringe([term_a], beam, v0, support)
-    only_b = averaged_fringe([term_b], beam, v0, support)
+    both = averaged_fringe([term_a, term_b], beam, support)
+    only_a = averaged_fringe([term_a], beam, support)
+    only_b = averaged_fringe([term_b], beam, support)
     return both.phase_unwrapped - only_a.phase_unwrapped - only_b.phase_unwrapped
 
 
 def visibility_ratio(
     terms,
     beam: BeamModel,
-    v0: float = 1.0,
     support: VelocitySupport | None = None,
 ) -> float:
-    """Averaged visibility normalized by the zero-dispersion visibility."""
+    """Averaged visibility relative to the zero-dispersion visibility, |Z|."""
     # |Z| needs no unwrap, so this stays usable past the point where
     # the continuous phase drowns in the quadrature floor
-    obs = averaged_fringe(terms, beam, v0, support, unwrap=False)
-    return obs.visibility / obs.v0_reference
+    return averaged_fringe(terms, beam, support, unwrap=False).visibility

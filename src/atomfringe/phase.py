@@ -2,7 +2,8 @@
 
 Every phase shift handled by this package has the form A * (u/v)^e at
 atom velocity v, where A is the value of the term at the mean beam
-velocity u.  The terms built here:
+velocity u and e is 0, 1 or 2; the fringe module evaluates a term list
+as one polynomial in u/v.  The terms built here:
 
 * quadratic Stark (polarizability) phase from a capacitor on one arm,
   A = sign * (2 pi eps0 alpha / hbar) * G * U^2 / u, exponent 1;
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .beam import BeamModel
 
@@ -45,7 +44,6 @@ __all__ = [
     "sustain_time",
     "prism_displacement_ratio",
     "roberts_term",
-    "evaluate",
     "geometry_from_config",
 ]
 
@@ -288,15 +286,6 @@ def roberts_term(counter: RobertsCounterphase) -> list[DispersivePhaseTerm]:
     ]
 
 
-def evaluate(term: DispersivePhaseTerm, beam: BeamModel, v):
-    """Phase of a term at velocity v (scalar or array), rad."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("velocity must be positive")
-    out = term.amplitude_at_mean * (beam.u / v) ** term.exponent
-    return out if out.ndim else float(out)
-
-
 def geometry_from_config(mapping) -> tuple[InterferometerGeometry, CapacitorModel]:
     """Build geometry and capacitor from one flat config mapping.
 
@@ -313,6 +302,6 @@ def geometry_from_config(mapping) -> tuple[InterferometerGeometry, CapacitorMode
     )
     capacitor = CapacitorModel(
         geometry_factor_G=float(mapping["geometry_factor_G_per_m"]),
-        sign=int(mapping.get("arm_sign", -1)),
+        sign=mapping.get("arm_sign", -1),
     )
     return geometry, capacitor

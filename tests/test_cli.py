@@ -1,9 +1,12 @@
 """End-to-end command-line coverage through in-process main()."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,6 +262,43 @@ def test_synth_rejects_jitter_without_rotation_term(tmp_path, capsys):
     assert len(err) == 1
     assert "rotation_jitter" in err[0]
     assert not out.exists()
+
+
+def test_synth_jittered_file_is_rebuilt_by_hand(config_path, tmp_path):
+    # the per-point path: for each voltage draw the rotation jitter, then
+    # the phase noise, then the visibility noise, from one seeded stream,
+    # with one model curve per point at the jittered rotation amplitude
+    doc = design_doc(phase_sigma_per_rad=0.01, rotation_jitter_rad_per_s=2e-5)
+    design = write_config(tmp_path, doc, "jitter.json")
+    out = tmp_path / "obs.csv"
+    argv = ["synth", "--config", config_path, "--design", design, "--seed", "7"]
+    assert main([*argv, "--out", str(out)]) == 0
+
+    beam = af.BeamModel(u=1065.7, s_parallel=S_TRUE)
+    geo = af.InterferometerGeometry(
+        k_laser=9.364e6,
+        grating_separation_L=0.605,
+        latitude=math.radians(LATITUDE_DEG),
+    )
+    cap = af.CapacitorModel(geometry_factor_G=2.486e5, sign=-1)
+    coeff = -af.polarizability_term(cap, ALPHA_TRUE, 1.0, beam).amplitude_at_mean
+    sag = af.sagnac_earth_term(geo, beam).amplitude_at_mean
+    amp_per_rate = 2.0 * geo.k_grating * geo.grating_separation_L**2 / beam.u
+    rng = np.random.default_rng(7)
+    rows = []
+    for volt in doc["voltages_V"]:
+        jitter = rng.normal(0.0, doc["rotation_jitter_rad_per_s"])
+        ctx = af.ModelContext(
+            beam_u=beam.u, sagnac_amplitude_at_mean=sag + amp_per_rate * jitter
+        )
+        (phase,), (vis,) = af.model_curve(S_TRUE, coeff, (volt,), ctx)
+        ph_sigma = doc["phase_sigma_base_rad"] + doc["phase_sigma_per_rad"] * abs(phase)
+        phase += rng.normal(0.0, ph_sigma)
+        vis += rng.normal(0.0, doc["vis_sigma"])
+        rows.append(af.Observation(volt, phase, ph_sigma, vis, doc["vis_sigma"]))
+    rebuilt = tmp_path / "rebuilt.csv"
+    write_observations(str(rebuilt), rows)
+    assert rebuilt.read_bytes() == out.read_bytes()
 
 
 # ---------------------------------------------------------------------- fit
@@ -573,6 +613,83 @@ def test_config_bad_fit_options_exits_2(fit_opts, tmp_path, capsys):
     assert "'fit'" in err[0] and next(iter(fit_opts)) in err[0]
 
 
+def set_path(doc, path, value):
+    """Set the value at the key path (a tuple of keys or list indices)."""
+    *parents, last = path
+    for key in parents:
+        doc = doc.setdefault(key, {}) if isinstance(doc, dict) else doc[key]
+    doc[last] = value
+
+
+def assert_one_error_line(capsys, *words):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert all(word in err[0] for word in words)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("rng_seed",), 2.7),
+        (("rng_seed",), True),
+        (("rng_seed",), -1),
+        (("prism_n",), "1.5"),
+        (("alpha_m3",), True),
+        (("alpha_m3",), "1.1e-30"),
+        (("beam", "u_m_per_s"), "1065.7"),
+        (("geometry", "latitude_deg"), math.nan),
+    ],
+)
+def test_config_bad_number_exits_2(path, value, tmp_path, capsys):
+    doc = base_config()
+    set_path(doc, path, value)
+    config = write_config(tmp_path, doc, "numbers.json")
+    out = tmp_path / "curve.csv"
+    code = main(["simulate", "--config", config, "--voltages", "0,100", "--out", str(out)])
+    assert code == 2
+    assert_one_error_line(capsys, path[-1])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("voltages_V", "123"),
+        ("voltages_V", [100.0, True, 300.0]),
+        ("vis_sigma", True),
+        ("phase_sigma_base_rad", math.nan),
+        ("rotation_jitter_rad_per_s", math.inf),
+    ],
+)
+def test_design_bad_number_exits_2(key, value, config_path, tmp_path, capsys):
+    design = write_config(tmp_path, design_doc(**{key: value}), "design.json")
+    out = tmp_path / "obs.csv"
+    code = main(["synth", "--config", config_path, "--design", design, "--out", str(out)])
+    assert code == 2
+    assert_one_error_line(capsys, key)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, flag",
+    [
+        ("simulate", ["--voltages", "nan,100"], "--voltages"),
+        ("simulate", ["--points", "-1"], "--points"),
+        ("simulate", ["--points", "2.7"], "--points"),
+        ("simulate", ["--u-max", "nan"], "--u-max"),
+        ("tune", ["--pol-amplitude", "nan"], "--pol-amplitude"),
+        ("tune", ["--voltage", "inf"], "--voltage"),
+        ("residual", ["--pol-amplitude", "-100", "--v2", "nan"], "--v2"),
+        ("residual", ["--pol-amplitude", "-100", "--v2", "10", "--v1", "inf"], "--v1"),
+    ],
+)
+def test_flag_bad_number_exits_2(command, flags, flag, config_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", config_path, *flags, "--out", str(out)])
+    assert code == 2
+    assert_one_error_line(capsys, flag)
+
+
 def test_narrow_window_exits_1(tmp_path, capsys):
     # a 4-sigma window leaves 6e-5 of the beam outside, far above the
     # quadrature tolerance, so the average refuses instead of reporting
@@ -618,3 +735,124 @@ def test_obs_short_row_exits_2(config_path, tmp_path, capsys):
     code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", "-"])
     assert code == 2
     assert "short.csv:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, cell",
+    [("phase_rad", "nan"), ("phase_rad", "inf"), ("U_volts", "nan"), ("vis_sigma", "inf")],
+)
+def test_obs_non_finite_cell_exits_2(field, cell, config_path, tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    rows = [
+        ["100", "-1.0", "0.05", "0.9", "0.005"],
+        ["200", "-4.0", "0.05", "0.7", "0.005"],
+        ["300", "-9.0", "0.05", "0.5", "0.005"],
+    ]
+    rows[1][OBSERVATION_HEADER.index(field)] = cell
+    lines = [",".join(row) for row in [OBSERVATION_HEADER, *rows]]
+    obs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", "-"])
+    assert code == 2
+    assert_one_error_line(capsys, "obs.csv:3", field)
+
+
+# the exit contract under malformed numbers: every command exits 0 with
+# finite numbers, or exits 1 or 2 with exactly one line on stderr
+MALFORMED = (math.nan, math.inf, -math.inf, True, "1.5", "123", 2.7, -1, 0)
+CONFIG_PLACES = tuple(
+    ("config", path)
+    for path in (
+        ("alpha_m3",),
+        ("prism_n",),
+        ("rng_seed",),
+        ("averaging", "node_count"),
+        ("averaging", "width_sigmas"),
+        ("fit", "max_iterations"),
+        ("fit", "chi2_scaling"),
+        ("beam", "s_parallel"),
+        ("geometry", "latitude_deg"),
+    )
+)
+# each command's fixed flags and its own places for a malformed value
+LIST_FLAGS = ("--voltages", "--v1", "--v2")  # these get "0,<value>"
+COMMANDS = {
+    "constants": ({}, ()),
+    "simulate": (
+        {"--voltages": "0,100,200"},
+        (("flag", "--voltages"), ("flag", "--points"), ("flag", "--u-max")),
+    ),
+    "synth": (
+        {"--design": "{design}"},
+        tuple(
+            ("design", path)
+            for path in (
+                ("voltages_V",),
+                ("voltages_V", 1),
+                ("vis_sigma",),
+                ("phase_sigma_base_rad",),
+                ("rotation_jitter_rad_per_s",),
+            )
+        ),
+    ),
+    "fit": ({"--obs": "{obs}"}, tuple(("obs", field) for field in OBSERVATION_HEADER)),
+    "tune": ({"--pol-amplitude": "-100"}, ()),
+    "residual": (
+        {"--pol-amplitude": "-100", "--v2": "5,10"},
+        (("flag", "--v1"), ("flag", "--v2")),
+    ),
+}
+
+
+def numbers_in(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in numbers_in(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in numbers_in(v)]
+    return [value] if isinstance(value, float) else []
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_command_keeps_the_exit_contract(data, tmp_path_factory):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    flags, own_places = COMMANDS[command]
+    target, where = data.draw(st.sampled_from(CONFIG_PLACES + own_places))
+    value = data.draw(st.sampled_from(MALFORMED))
+    tmp = tmp_path_factory.mktemp("contract")
+    docs = {"config": base_config(), "design": design_doc()}
+    flags = dict(flags)
+    rows = [
+        [str(v), str(-C_TRUE * v * v), "0.05", str(1.0 - 1e-6 * v), "0.005"]
+        for v in (100.0, 200.0, 300.0, 400.0)
+    ]
+    if target in docs:
+        set_path(docs[target], where, value)
+    elif target == "obs":
+        rows[1][OBSERVATION_HEADER.index(where)] = str(value)
+    else:
+        flags[where] = f"0,{value}" if where in LIST_FLAGS else str(value)
+    paths = {name: write_config(tmp, doc, f"{name}.json") for name, doc in docs.items()}
+    paths["obs"] = str(tmp / "obs.csv")
+    lines = [",".join(row) for row in [OBSERVATION_HEADER, *rows]]
+    (tmp / "obs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp / "out"
+    argv = [command, "--config", paths["config"], "--out", str(out)]
+    argv += [x.format(**paths) for pair in flags.items() for x in pair]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        text = out.read_text(encoding="utf-8")
+        if command in ("fit", "tune"):
+            found = numbers_in(json.loads(text))
+        else:
+            table = [row.split(",") for row in text.splitlines()[1:]]
+            if command == "constants":  # quantity,value
+                table = [row[1:] for row in table]
+            found = [float(cell) for row in table for cell in row]
+        assert all(math.isfinite(x) for x in found)
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith("error:")

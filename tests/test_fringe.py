@@ -35,7 +35,7 @@ def test_empty_terms():
     ob = af.averaged_fringe([], BEAM)
     assert ob.phase == 0.0
     assert ob.phase_unwrapped == 0.0
-    # visibility equals v0 up to the 8-sigma truncation mass
+    # visibility equals 1 up to the 8-sigma truncation mass
     assert ob.visibility == pytest.approx(EMPTY_VIS, abs=1e-12)
     assert ob.visibility == pytest.approx(1.0, abs=1e-12)
 
@@ -137,17 +137,6 @@ def test_roberts_mixture_against_oracle():
     ob = af.averaged_fringe(mix, BEAM)
     assert ob.phase_unwrapped == pytest.approx(ROBERTS_PHASE, abs=1e-12)
     assert ob.visibility == pytest.approx(ROBERTS_VIS, abs=1e-12)
-
-
-def test_v0_scales_visibility_only():
-    full = af.averaged_fringe([T(-5.0)], BEAM)
-    half = af.averaged_fringe([T(-5.0)], BEAM, v0=0.5)
-    assert half.visibility == pytest.approx(0.5 * full.visibility, rel=1e-15)
-    assert half.phase == full.phase
-    assert half.v0_reference == 0.5
-    for bad in (0.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            af.averaged_fringe([T(-5.0)], BEAM, v0=bad)
 
 
 def test_doubling_diagnostic_fires_on_coarse_grid():
@@ -294,3 +283,24 @@ def test_scales_are_validated():
     for bad in ([], [[1.0, 2.0]], [1.0, math.nan], [math.inf]):
         with pytest.raises(ValueError):
             af.averaged_fringe([T(1.0)], BEAM, scales=bad)
+
+
+def test_fringe_curve_is_exported():
+    assert isinstance(af.averaged_fringe([T(1.0)], BEAM, scales=[1.0]), af.FringeCurve)
+
+
+@settings(max_examples=40)
+@given(
+    s_par=st.floats(8.0, 64.0),
+    a=st.floats(-20.0, 20.0),
+    b=st.floats(-20.0, 20.0),
+    exponents=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
+)
+def test_non_additivity_gap_shrinks_as_the_beam_narrows(s_par, a, b, exponents):
+    # the gap comes from the third cumulant of (u/v)^e, about 1/S^4, so
+    # each doubling of S cuts it about 16-fold; 4-fold is the bound
+    # (up to 20 rad per term the 257-node average converges at S = 8)
+    ta, tb = T(a, exponents[0]), T(b, exponents[1])
+    gap = af.non_additivity_gap(ta, tb, af.BeamModel(u=BEAM.u, s_parallel=s_par))
+    narrower = af.non_additivity_gap(ta, tb, af.BeamModel(u=BEAM.u, s_parallel=2.0 * s_par))
+    assert abs(narrower) <= abs(gap) / 4.0 + 10.0 * af.QUADRATURE_TOL

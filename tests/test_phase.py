@@ -122,40 +122,26 @@ def test_roberts_term_split():
     assert (second.amplitude_at_mean, second.exponent) == (-10.0, 2)
 
 
-def test_evaluate():
-    t1 = af.DispersivePhaseTerm(amplitude_at_mean=-8.0, exponent=1)
-    t2 = af.DispersivePhaseTerm(amplitude_at_mean=6.0, exponent=2)
-    assert af.evaluate(t1, BEAM, BEAM.u) == pytest.approx(-8.0, rel=1e-15)
-    assert af.evaluate(t1, BEAM, 2.0 * BEAM.u) == pytest.approx(-4.0, rel=1e-15)
-    assert af.evaluate(t2, BEAM, 2.0 * BEAM.u) == pytest.approx(1.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        af.evaluate(t1, BEAM, 0.0)
-
-
-def test_evaluate_is_linear_in_amplitude():
-    v = np.linspace(600.0, 1500.0, 7)
-    a = af.DispersivePhaseTerm(amplitude_at_mean=3.25, exponent=1)
-    b = af.DispersivePhaseTerm(amplitude_at_mean=-1.75, exponent=1)
-    summed = af.DispersivePhaseTerm(amplitude_at_mean=1.5, exponent=1)
-    np.testing.assert_allclose(
-        af.evaluate(a, BEAM, v) + af.evaluate(b, BEAM, v),
-        af.evaluate(summed, BEAM, v),
-        rtol=1e-13,
-    )
+GEOMETRY_CONFIG = {
+    "k_laser_per_m": 9.364e6,
+    "L_m": 0.605,
+    "latitude_deg": 43.0 + 33.0 / 60.0 + 37.0 / 3600.0,
+    "geometry_factor_G_per_m": 2.486e5,
+    "arm_sign": -1.0,
+}
 
 
 def test_geometry_from_config():
-    geo, cap = af.geometry_from_config(
-        {
-            "k_laser_per_m": 9.364e6,
-            "L_m": 0.605,
-            "latitude_deg": 43.0 + 33.0 / 60.0 + 37.0 / 3600.0,
-            "geometry_factor_G_per_m": 2.486e5,
-            "arm_sign": -1.0,
-        }
-    )
+    geo, cap = af.geometry_from_config(GEOMETRY_CONFIG)
     assert geo == GEO
     assert cap == CAP
     assert geo.latitude == pytest.approx(
         (43.0 + 33.0 / 60.0 + 37.0 / 3600.0) * RAD_PER_DEG, rel=1e-15
     )
+
+
+@pytest.mark.parametrize("sign", [1.5, -1.5])
+def test_geometry_from_config_rejects_a_sign_other_than_plus_or_minus_one(sign):
+    # truncating 1.5 to 1 would silently put the field on the other arm
+    with pytest.raises(ValueError, match="sign"):
+        af.geometry_from_config({**GEOMETRY_CONFIG, "arm_sign": sign})
