@@ -44,7 +44,6 @@ from .phase import (
     InterferometerGeometry,
     MirrorMotion,
     PrismGeometry,
-    RobertsCounterphase,
     alpha_from_coefficient,
     geometry_from_config,
     mirror_sagnac_term,
@@ -52,7 +51,6 @@ from .phase import (
     polarizability_term,
     prism_displacement_ratio,
     required_mirror_velocity,
-    roberts_term,
     sagnac_earth_term,
     sustain_time,
 )

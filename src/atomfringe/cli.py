@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,17 +46,16 @@ from .fitkit import (
     model_curve,
     parameter_uncertainties,
 )
+from .fringe import averaged_fringe
 from .phase import (
     CapacitorModel,
     DispersivePhaseTerm,
     InterferometerGeometry,
     PrismGeometry,
-    RobertsCounterphase,
     geometry_from_config,
     omega_y,
     polarizability_term,
     prism_displacement_ratio,
-    roberts_term,
     sagnac_earth_term,
 )
 
@@ -403,7 +403,8 @@ def write_observations(path: str, observations) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    # a non-finite number is not JSON: ValueError (exit 1), not Infinity
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -550,21 +551,23 @@ def _cmd_tune(args) -> int:
 
 def _cmd_residual(args) -> int:
     config = load_config(args.config)
-    pol = DispersivePhaseTerm(amplitude_at_mean=args.pol_amplitude, exponent=1)
+    pol = args.pol_amplitude
     v2_list = _parse_float_list(args.v2, "--v2")
-    if args.v1 is not None:
-        v1_list = _parse_float_list(args.v1, "--v1")
-        pairs = [(a1, a2) for a1 in v1_list for a2 in v2_list]
-    else:
-        # keep on-mean cancellation: v1 completes each v2 to -pol
-        pairs = [(-args.pol_amplitude - a2, a2) for a2 in v2_list]
     beam = config.beam
     support = config.support(beam)
     rows = []
-    for a1, a2 in pairs:
-        counter = roberts_term(RobertsCounterphase(v1_amplitude=a1, v2_amplitude=a2))
-        resid, vis = residual_dispersion(counter, pol, beam, support)
-        rows.append((a1, a2, resid, vis))
+    if args.v1 is not None:
+        # a free v1 grid is a two-parameter family: one average per pair
+        for a1 in _parse_float_list(args.v1, "--v1"):
+            for a2 in v2_list:
+                terms = [DispersivePhaseTerm(a, e) for a, e in ((pol, 1), (a1, 1), (a2, 2))]
+                obs = averaged_fringe(terms, beam, support)
+                rows.append((a1, a2, obs.phase_unwrapped, obs.visibility))
+    elif v2_list:
+        # v1 completes each v2 to -pol (cancellation at v = u), which
+        # leaves one family in v2: the whole scan is one average
+        phases, vis = residual_dispersion(v2_list, beam, support)
+        rows = [(-pol - a2, a2, ph, r) for a2, ph, r in zip(v2_list, phases, vis)]
     _write_csv(
         args.out,
         ["v1_amplitude_rad", "v2_amplitude_rad", "residual_phase_rad", "visibility_ratio"],
@@ -586,7 +589,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused by every later call in
+    # the process; parse_args leaves the parser unchanged
     parser = _ArgumentParser(
         prog="atomfringe",
         description="velocity-averaged fringe simulation, fitting and dispersion compensation",

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .beam import BeamModel, VelocitySupport
 from .fringe import averaged_fringe
 from .phase import (
@@ -48,14 +50,21 @@ class CompensationPlan:
     visibility_ratio_at_null: float
 
     def to_report(self) -> dict:
-        """Flat mapping with all intermediate quantities, for emission."""
+        """Flat mapping with all intermediate quantities, for emission.
+
+        The sustain time (mirrors at rest) and the prism rate (n = 1) are
+        unbounded in those limits; they are reported as None, which JSON
+        writes as null.
+        """
+        sustain = sustain_time(self.motion)
+        dz_rate = self.prism_dz_rate
         return {
             "counter_amplitude_rad": self.counter_amplitude_at_mean,
             "v1_m_per_s": self.motion.v1,
             "v3_m_per_s": self.motion.v3,
             "max_travel_m": self.motion.max_travel,
-            "sustain_time_s": sustain_time(self.motion),
-            "prism_dz_rate_m_per_s": self.prism_dz_rate,
+            "sustain_time_s": None if math.isinf(sustain) else sustain,
+            "prism_dz_rate_m_per_s": None if math.isinf(dz_rate) else dz_rate,
             "residual_phase_rad": self.residual_phase,
             "visibility_ratio_at_null": self.visibility_ratio_at_null,
         }
@@ -97,21 +106,29 @@ def tune_counterphase(
     )
 
 
+# (u/v)^2 - u/v: what a Roberts counterphase leaves per unit of v2
+_ROBERTS_MISMATCH = (
+    DispersivePhaseTerm(amplitude_at_mean=-1.0, exponent=1),
+    DispersivePhaseTerm(amplitude_at_mean=1.0, exponent=2),
+)
+
+
 def residual_dispersion(
-    counter_terms,
-    pol_term: DispersivePhaseTerm,
+    v2_amplitudes,
     beam: BeamModel,
     support: VelocitySupport | None = None,
-) -> tuple[float, float]:
-    """Averaged phase and visibility ratio left by an imperfect counterphase.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged phases and visibility ratios left by Roberts counterphases.
 
-    The inputs are expected to cancel at the mean velocity (counter
-    amplitudes summing to minus the pol amplitude); whatever velocity
-    dependence does not match u/v survives the average and is returned
-    as (residual_phase, visibility_ratio).
+    A Roberts counterphase v1 u/v + v2 (u/v)^2 that cancels a u/v
+    polarizability term pol at the mean velocity has v1 = -pol - v2, so
+    the net phase is v2 ((u/v)^2 - u/v) whatever pol is: the velocity
+    dependence that does not match u/v.  One velocity average over all
+    of v2_amplitudes returns (residual_phases, visibility_ratios), one
+    entry per amplitude in input order.
     """
-    obs = averaged_fringe([pol_term, *counter_terms], beam, support=support)
-    return obs.phase_unwrapped, obs.visibility
+    curve = averaged_fringe(_ROBERTS_MISMATCH, beam, support, scales=v2_amplitudes)
+    return curve.phase_unwrapped, curve.visibility
 
 
 def extract_alpha_compensated(

@@ -75,6 +75,9 @@ class Observation:
     vis_sigma: float
 
     def __post_init__(self):
+        for name in ("voltage_U", "phase_meas"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.phase_sigma > 0.0:
             raise ValueError(f"phase_sigma must be positive, got {self.phase_sigma}")
         if not self.vis_sigma > 0.0:

@@ -38,7 +38,11 @@ Roberts mixture walks only as far as its uncancelled part.  A
 call with several factors (``scales``) makes one such walk from 0 to
 the farthest factor on each side of zero, with every requested factor
 on the path, so a whole curve of u/v amplitudes costs one pass over
-the velocity grid.
+the velocity grid.  The walk's steps are equal, so its rows are built
+by recurrence, row k = exp(i step phi)^k (one exp row, then a cumulative
+product); they only choose the 2 pi branch, and every reported phase is
+the principal value of an exactly computed row plus that multiple of
+2 pi.
 """
 
 from __future__ import annotations
@@ -160,6 +164,23 @@ def _phase_profile(net, beam: BeamModel, v):
     return phi
 
 
+def _walk_side(end, l1, phi, wp):
+    """Walk factors from 0 to end in ceil(|end| l1) equal steps, and arg Z
+    at each, with row k built as exp(i end phi / steps)^k by np.cumprod.
+
+    The product moves a walk Z by a few 1e-15 from the exact exp (its
+    arg by up to about 1e-9 rad where |Z| > 1e-6), which can only matter
+    for the choice of 2 pi branch.
+    """
+    steps = int(math.ceil(abs(end) * l1))
+    rows = np.empty((steps + 1, phi.size), dtype=complex)
+    rows[0] = 1.0
+    if steps:
+        rows[1:] = np.exp(1j * (end / steps * phi))
+        np.cumprod(rows, axis=0, out=rows)
+    return np.linspace(0.0, end, steps + 1), np.angle(rows @ wp)
+
+
 def averaged_fringe(
     terms,
     beam: BeamModel,
@@ -268,16 +289,14 @@ def averaged_fringe(
         # (u/v)^2 reach, so ceil(|s| l1) steps keep each jump well under
         # pi/2; steps that still jump too far (near visibility nulls) are
         # bisected.  Every requested factor lies on the path (tag = its
-        # row).
-        lo, hi = min(s[0], 0.0), max(s[-1], 0.0)
-        walk = np.concatenate([
-            np.linspace(lo, 0.0, int(math.ceil(-lo * l1)) + 1),
-            np.linspace(0.0, hi, int(math.ceil(hi * l1)) + 1),
-        ])
-        path = np.concatenate([walk, s])
-        walk_args = np.angle(np.exp(1j * (walk[:, None] * phi)) @ wp)
-        args = np.concatenate([walk_args, principal])
-        tag = np.concatenate([np.full(walk.size, -1), np.arange(s.size)])
+        # row).  Each side's rows come by recurrence (see _walk_side);
+        # bisection midpoints keep their exact exp.
+        (lo, lo_args), (hi, hi_args) = (
+            _walk_side(end, l1, phi, wp) for end in (min(s[0], 0.0), max(s[-1], 0.0))
+        )
+        path = np.concatenate([lo, hi, s])
+        args = np.concatenate([lo_args, hi_args, principal])
+        tag = np.concatenate([np.full(lo.size + hi.size, -1), np.arange(s.size)])
         for _ in range(_MAX_REFINE_PASSES):
             order = np.argsort(path, kind="stable")
             path, args, tag = path[order], args[order], tag[order]

@@ -10,8 +10,7 @@ as one polynomial in u/v.  The terms built here:
 * Earth-rotation Sagnac phase, A = 2 kG Omega_y L^2 / u with
   kG = 2 k_laser, exponent 1;
 * mirror-motion Sagnac phase from translating the outer gratings,
-  A = 2 k_laser (v1 - v3) L / u, exponent 1;
-* Roberts-style electric counterphase, a mixture of u/v and (u/v)^2.
+  A = 2 k_laser (v1 - v3) L / u, exponent 1.
 
 Also provided: the Brewster-prism displacement equivalence used to
 drive the mirror position optically, and the inversions needed to size
@@ -34,7 +33,6 @@ __all__ = [
     "CapacitorModel",
     "MirrorMotion",
     "PrismGeometry",
-    "RobertsCounterphase",
     "omega_y",
     "sagnac_earth_term",
     "polarizability_term",
@@ -43,7 +41,6 @@ __all__ = [
     "required_mirror_velocity",
     "sustain_time",
     "prism_displacement_ratio",
-    "roberts_term",
     "geometry_from_config",
 ]
 
@@ -150,14 +147,6 @@ class PrismGeometry:
             raise ValueError(
                 f"refractive index must be >= 1, got {self.refractive_index_n}"
             )
-
-
-@dataclass(frozen=True)
-class RobertsCounterphase:
-    """Electric counterphase with u/v and (u/v)^2 components, rad at v = u."""
-
-    v1_amplitude: float
-    v2_amplitude: float
 
 
 def omega_y(geometry: InterferometerGeometry) -> float:
@@ -276,14 +265,6 @@ def prism_displacement_ratio(prism: PrismGeometry) -> float:
     """
     n = prism.refractive_index_n
     return (1.0 - n * n) / (n * (1.0 + n * n))
-
-
-def roberts_term(counter: RobertsCounterphase) -> list[DispersivePhaseTerm]:
-    """Split a Roberts counterphase into its u/v and (u/v)^2 terms."""
-    return [
-        DispersivePhaseTerm(amplitude_at_mean=counter.v1_amplitude, exponent=1),
-        DispersivePhaseTerm(amplitude_at_mean=counter.v2_amplitude, exponent=2),
-    ]
 
 
 def geometry_from_config(mapping) -> tuple[InterferometerGeometry, CapacitorModel]:

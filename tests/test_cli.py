@@ -2,15 +2,21 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import atomfringe as af
+from atomfringe import cli
 from atomfringe.cli import OBSERVATION_HEADER, main, read_observations, write_observations
 from _support import ALPHA_TRUE, C_TRUE, S_TRUE
 
@@ -425,6 +431,47 @@ def test_tune_explicit_amplitude(config_path, tmp_path):
     assert doc["sustain_time_s"] == pytest.approx(4.3e-3, abs=0.5e-3)
 
 
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN and Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "pol, prism_n, unbounded",
+    [("0", 1.46, "sustain_time_s"), ("-100", 1.0, "prism_dz_rate_m_per_s")],
+)
+def test_tune_writes_null_for_unbounded_values(pol, prism_n, unbounded, tmp_path):
+    # mirrors at rest sustain forever; an n = 1 prism moves no mirror
+    doc = {**base_config(), "prism_n": prism_n}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "plan.json"
+    assert main(["tune", "--config", config, "--pol-amplitude", pol, "--out", str(out)]) == 0
+    report = strict_json(out.read_text(encoding="utf-8"))
+    assert report[unbounded] is None
+    assert all(math.isfinite(v) for k, v in report.items() if k != unbounded)
+
+
+def test_a_non_finite_report_value_exits_1(config_path, tmp_path, monkeypatch, capsys):
+    # any future leak of a non-finite number into a JSON report fails
+    # the command instead of writing NaN or Infinity
+    tune = cli.tune_counterphase
+    monkeypatch.setattr(
+        cli,
+        "tune_counterphase",
+        lambda *a, **k: dataclasses.replace(tune(*a, **k), residual_phase=math.nan),
+    )
+    out = tmp_path / "plan.json"
+    code = main(["tune", "--config", config_path, "--pol-amplitude", "-100", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_tune_from_voltage_uses_config_alpha(config_path, tmp_path):
     out = tmp_path / "plan.json"
     code = main(["tune", "--config", config_path, "--voltage", "400", "--out", str(out)])
@@ -502,6 +549,25 @@ def test_residual_explicit_grid(config_path, tmp_path):
         (80.0, 10.0),
         (80.0, 20.0),
     ]
+
+
+def test_reused_parser_gives_the_fresh_process_output(config_path, capsys):
+    # main() builds its parser once per process; a call that failed to
+    # parse must leave nothing behind for the next call
+    argv = ["residual", "--config", config_path, "--pol-amplitude", "-100",
+            "--v2", "5,10,20", "--out", "-"]
+    package_root = str(Path(af.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "atomfringe.cli", *argv],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    ).stdout
+    assert main(["residual", "--config", config_path, "--bogus", "1"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == fresh
+    assert cli._build_parser.cache_info().currsize == 1  # one parser served both
 
 
 # -------------------------------------------------------------- diagnostics

@@ -1,12 +1,20 @@
 """Counterphase tuning, residual dispersion, and alpha extraction."""
 
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import atomfringe as af
 from _support import BEAM, CAP, GEO
 
 T = lambda a, e=1: af.DispersivePhaseTerm(amplitude_at_mean=a, exponent=e)
+
+
+def numbers_in(message):
+    """The numbers an error message prints in exponent form."""
+    return [float(x) for x in re.findall(r"[-+]?\d\.\d+e[-+]\d+", message)]
+
 
 # frozen from tests/_oracles.py
 ROBERTS_PHASE = 0.012081309880924184
@@ -85,17 +93,16 @@ def test_tune_rejects_wrong_dispersion_order():
 
 
 def test_roberts_mixture_residual():
-    counter = af.roberts_term(af.RobertsCounterphase(v1_amplitude=90.0, v2_amplitude=10.0))
-    phase, vis = af.residual_dispersion(counter, T(-100.0), BEAM)
-    assert phase == pytest.approx(ROBERTS_PHASE, abs=1e-12)
-    assert vis == pytest.approx(ROBERTS_VIS, abs=1e-12)
+    # v1 = 90, v2 = 10 against pol -100 (cancellation at v = u)
+    phases, vis = af.residual_dispersion([10.0], BEAM)
+    assert phases[0] == pytest.approx(ROBERTS_PHASE, abs=1e-12)
+    assert vis[0] == pytest.approx(ROBERTS_VIS, abs=1e-12)
 
 
 def test_pure_v1_counter_leaves_nothing():
-    counter = af.roberts_term(af.RobertsCounterphase(v1_amplitude=100.0, v2_amplitude=0.0))
-    phase, vis = af.residual_dispersion(counter, T(-100.0), BEAM)
-    assert phase == 0.0
-    assert vis == pytest.approx(1.0, abs=1e-12)
+    phases, vis = af.residual_dispersion([0.0], BEAM)
+    assert phases[0] == 0.0
+    assert vis[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_roberts_residual_grows_with_v2_share():
@@ -103,15 +110,43 @@ def test_roberts_residual_grows_with_v2_share():
     # (u/v)^2 term: the mismatch profile v2 * (u/v) * (u/v - 1) grows,
     # so the fringe contrast must fall monotonically (the averaged
     # phase itself is not monotone in v2, it turns over and wraps)
-    last = 1.0
-    for v2 in (5.0, 10.0, 20.0):
-        counter = af.roberts_term(
-            af.RobertsCounterphase(v1_amplitude=100.0 - v2, v2_amplitude=v2)
+    phases, vis = af.residual_dispersion([5.0, 10.0, 20.0], BEAM)
+    assert (phases != 0.0).all()
+    assert 1.0 > vis[0] > vis[1] > vis[2]
+
+
+@settings(max_examples=40)
+@given(
+    s_par=st.floats(8.0, 12.0),
+    pol=st.floats(-100.0, -10.0),
+    v2s=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=7),
+)
+# below S = 8 the 257-node average fails at these amplitudes, first at 40
+@example(s_par=6.0, pol=-50.0, v2s=[10.0, 40.0, -35.0])
+def test_residual_scan_matches_per_pair_averages(s_par, pol, v2s):
+    # one batched average of v2 ((u/v)^2 - u/v) against one average per
+    # pair of the full list [pol, (-pol - v2) u/v, v2 (u/v)^2]
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    v2s = [*v2s, v2s[0]]  # a repeated factor
+    pairs, first_error = [], None
+    for v2 in v2s:
+        try:
+            pairs.append(af.averaged_fringe([T(pol), T(-pol - v2), T(v2, 2)], beam))
+        except af.QuadratureConvergenceError as exc:
+            first_error = first_error or str(exc)
+    if first_error is not None:
+        # the scan fails as the first failing pair does
+        with pytest.raises(af.QuadratureConvergenceError) as info:
+            af.residual_dispersion(v2s, beam)
+        assert str(info.value).split(":")[0] == first_error.split(":")[0]
+        assert numbers_in(str(info.value)) == pytest.approx(
+            numbers_in(first_error), rel=1e-6, abs=1e-12
         )
-        phase, vis = af.residual_dispersion(counter, T(-100.0), BEAM)
-        assert phase != 0.0
-        assert vis < last
-        last = vis
+        return
+    phases, vis = af.residual_dispersion(v2s, beam)
+    for j, ob in enumerate(pairs):
+        assert abs(vis[j] - ob.visibility) <= 1e-14
+        assert abs(phases[j] - ob.phase_unwrapped) <= 1e-13 / ob.visibility
 
 
 def test_alpha_round_trip_at_null():

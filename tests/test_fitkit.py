@@ -28,6 +28,16 @@ def test_observation_validation():
         af.Observation(100.0, -1.0, 0.02, 1.3, 0.01)
 
 
+@pytest.mark.parametrize("field", ["voltage_U", "phase_meas"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_observation_rejects_non_finite_values(field, value):
+    # a non-finite point would make the fit report converged with chi^2 inf
+    good = {"voltage_U": 100.0, "phase_meas": -1.0, "phase_sigma": 0.02,
+            "vis_ratio": 0.9, "vis_sigma": 0.01}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        af.Observation(**{**good, field: value})
+
+
 def test_observation_set_validation():
     obs = zero_noise_observations()
     ctx = model_context()

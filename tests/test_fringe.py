@@ -304,3 +304,29 @@ def test_non_additivity_gap_shrinks_as_the_beam_narrows(s_par, a, b, exponents):
     gap = af.non_additivity_gap(ta, tb, af.BeamModel(u=BEAM.u, s_parallel=s_par))
     narrower = af.non_additivity_gap(ta, tb, af.BeamModel(u=BEAM.u, s_parallel=2.0 * s_par))
     assert abs(narrower) <= abs(gap) / 4.0 + 10.0 * af.QUADRATURE_TOL
+
+
+@settings(max_examples=24)
+@given(
+    s_par=st.floats(6.0, 12.0),
+    terms=st.lists(
+        st.tuples(st.floats(-40.0, 40.0), st.sampled_from([0, 1, 2])),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[1],  # one term per exponent: its net amplitude
+    ),
+)
+def test_average_matches_the_independent_oracle(s_par, terms):
+    # the trapezoid oracle shares no code with the package; its 2,001
+    # nodes resolve Z to about 1e-15 (the density vanishes at both
+    # window edges), and 20,001 nodes carry its own unwrap
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    try:
+        ob = af.averaged_fringe([T(a, e) for a, e in terms], beam)
+    except af.QuadratureConvergenceError:
+        return  # the documented diagnostic; any other error fails the test
+    tol = 10.0 * af.QUADRATURE_TOL
+    z = ob.visibility * complex(math.cos(ob.phase), math.sin(ob.phase))
+    assert abs(z - orc.complex_average(terms, beam.u, s_par, nodes=2_001)) <= tol
+    want = orc.unwrapped_phase(terms, beam.u, s_par, nodes=20_001)
+    assert abs(ob.phase_unwrapped - want) <= tol / ob.visibility

@@ -115,13 +115,6 @@ def test_prism_ratio_negative_and_decreasing():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_roberts_term_split():
-    counter = af.RobertsCounterphase(v1_amplitude=-90.0, v2_amplitude=-10.0)
-    first, second = af.roberts_term(counter)
-    assert (first.amplitude_at_mean, first.exponent) == (-90.0, 1)
-    assert (second.amplitude_at_mean, second.exponent) == (-10.0, 2)
-
-
 GEOMETRY_CONFIG = {
     "k_laser_per_m": 9.364e6,
     "L_m": 0.605,
