@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -427,8 +428,10 @@ def _write_csv(path, header, rows) -> None:
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ParseError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
+    except ValueError:
+        values = []
+    if not values:  # an empty list would write a header-only file
+        raise ParseError(f"{flag}: expected comma-separated numbers, got {text!r}")
     return [_number(x, flag) for x in values]
 
 
@@ -563,7 +566,7 @@ def _cmd_residual(args) -> int:
                 terms = [DispersivePhaseTerm(a, e) for a, e in ((pol, 1), (a1, 1), (a2, 2))]
                 obs = averaged_fringe(terms, beam, support)
                 rows.append((a1, a2, obs.phase_unwrapped, obs.visibility))
-    elif v2_list:
+    else:
         # v1 completes each v2 to -pol (cancellation at v = u), which
         # leaves one family in v2: the whole scan is one average
         phases, vis = residual_dispersion(v2_list, beam, support)
@@ -584,6 +587,13 @@ def _finite_float(text: str) -> float:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts with a minus and a digit (-5,10 or -1e3) is
+        # a value, as with --v2=-5,10; argparse only takes plain negative
+        # numbers, and no flag here starts that way
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         # a bad flag is a parse problem like any other: one line, exit 2
         raise ParseError(f"{self.prog}: {message}")

@@ -15,18 +15,21 @@ phase of a combined term list is not the sum of the individually
 averaged phases, and a large dispersive phase destroys the contrast.
 
 Integration is fixed-node Gauss-Legendre on the truncated support from
-the beam module.  Every reported average is re-evaluated at 2n - 1
-nodes; if the complex value moves by more than QUADRATURE_TOL the
-result is not trusted and QuadratureConvergenceError is raised (raise
-node_count in that case).  The density is not renormalised on the
-window, so a visibility carries the quadrature's mass error (at most
-1e-12 on the default 8-sigma window when it is not clamped at 1e-3 u)
-and may read above 1 by that much.  A window that leaves more than
+the beam module.  Every reported average is checked against the
+Gauss-Kronrod (2n + 1 nodes) extension of its n-node rule, which reuses
+the n Gauss nodes and adds n + 1 (Laurie's algorithm); if the two
+complex values differ by more than QUADRATURE_TOL the result is not
+trusted and QuadratureConvergenceError is raised (raise node_count in
+that case).  The density is not renormalised on the window, so a
+visibility carries the quadrature's mass error (at most 1e-12 on the
+default 8-sigma window when it is not clamped at 1e-3 u) and may read
+above 1 by that much.  A window that leaves more than
 QUADRATURE_TOL of the beam's Gaussian mass outside (speed ratios below
 about 4.25 at the default width, or width_sigmas below about 6.1)
 raises QuadratureConvergenceError instead of reporting that mass as
-lost visibility.  Both node grids, with the density folded into their
-weights, are built once per (beam, support) and cached.
+lost visibility.  The 2n + 1 nodes, with the density folded into both
+rules' weights and the powers of u/v evaluated on them, are built once
+per (beam, support) and cached.
 
 Phases beyond the principal branch are recovered by continuation: the
 whole term list is scaled from 0 to its factor in steps small enough
@@ -67,7 +70,7 @@ __all__ = [
     "visibility_ratio",
 ]
 
-QUADRATURE_TOL = 1e-9  # |Z_n - Z_{2n-1}| above this is a diagnostic
+QUADRATURE_TOL = 1e-9  # |Z_n - Z_{2n+1}^Kronrod| above this is a diagnostic
 
 _TWO_PI = 2.0 * math.pi
 _MAX_STEP_RAD = 0.5 * math.pi  # continuation step bound
@@ -78,7 +81,9 @@ _UNIT_INDEX = np.zeros(1, dtype=int)
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Doubling the quadrature nodes moved the average beyond tolerance."""
+    """A velocity average that cannot be trusted: the Gauss-Kronrod (2n + 1
+    nodes) check moved it beyond tolerance, the window cuts the beam, or
+    its phase cannot be resolved."""
 
 
 @dataclass(frozen=True)
@@ -122,19 +127,72 @@ def _leggauss(n: int):
     return x, w
 
 
-def _grid(support: VelocitySupport):
-    """Gauss-Legendre nodes and weights mapped onto [v_min, v_max]."""
-    x, w = _leggauss(support.node_count)
-    half = 0.5 * (support.v_max - support.v_min)
-    mid = 0.5 * (support.v_max + support.v_min)
-    return mid + half * x, half * w
+@lru_cache(maxsize=64)
+def _kronrod(n: int):
+    """Read-only Kronrod extension of the n-node Gauss-Legendre rule on
+    [-1, 1]: (weights at the n Gauss nodes of _leggauss(n), the n + 1
+    Kronrod nodes, their weights), by Laurie's algorithm (Math. Comp.
+    66:1133, 1997) for the Legendre weight.
+    """
+    # the Jacobi-Kronrod matrix has a zero diagonal (the weight is even)
+    # and off-diagonal sqrt(b_k), k = 1 .. 2n; b_0 = 2 is the mass and
+    # b_1 .. b_ceil(3n/2) are Legendre's k^2 / (4 k^2 - 1)
+    known = -(-3 * n // 2)
+    k = np.arange(1.0, known + 1)
+    b = np.zeros(2 * n + 1)
+    b[0] = 2.0
+    b[1 : known + 1] = k * k / (4.0 * k * k - 1.0)
+    # Laurie's mixed moments for the rest.  With a zero diagonal his two
+    # arrays decouple and the one started at 0 stays 0, so only the odd
+    # steps m, which update the other, are run.  Each inner loop reads
+    # old entries only, hence one cumsum per step.  The entries shrink
+    # geometrically (0/0 for n above about 540), and only their ratios
+    # are used, so every step rescales them by a power of 2, exactly.
+    s = np.zeros(n // 2 + 2)
+    s[1] = b[n + 1]
+    for m in range(1, 2 * n - 2, 2):
+        if m < n - 1:
+            k = np.arange((m + 1) // 2, -1, -1)
+            s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        else:
+            if m == n - 1:  # n even: his shift between the loops lands here
+                s[1:] = s[:-1].copy()
+            k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+            j = k + n - 1 - m
+            s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s = np.ldexp(s, -np.frexp(np.abs(s).max())[1])
+    # J^2 splits into even- and odd-index rows; the odd block is n x n
+    # tridiagonal with the squares of the n positive nodes as eigenvalues,
+    # the 2n + 1 nodes are 0 and +-those, and the Kronrod ones fall on
+    # every other place, the Gauss ones between them
+    d = b[1 : 2 * n : 2] + b[2::2]
+    e = np.sqrt(b[2 : 2 * n - 1 : 2] * b[3 : 2 * n : 2])
+    positive = np.sqrt(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
+    x_kronrod = np.concatenate([-positive[::-1], [0.0], positive])[::2]
+    # weight = b_0 / |p(x)|^2 over the orthonormal polynomials p_0 .. p_2n
+    # of the matrix (its eigenvector at x), by their three-term recurrence
+    x = np.concatenate([_leggauss(n)[0], x_kronrod])
+    beta = np.sqrt(b).tolist()
+    p_prev, p, norm2 = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+    for k in range(1, 2 * n + 1):
+        p_prev, p = p, (x * p - beta[k - 1] * p_prev) / beta[k]
+        norm2 += p * p
+    w = b[0] / norm2
+    rule = (w[:n], x_kronrod, w[n:])
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 @lru_cache(maxsize=64)
 def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
-    """Read-only nodes and density-weighted weights (v, w P, v2, w2 P)
-    of the n and 2n - 1 node grids; raises QuadratureConvergenceError
-    when more than QUADRATURE_TOL of the beam lies outside the window.
+    """Read-only arrays on the 2n + 1 nodes v of the Gauss-Kronrod grid,
+    the n Gauss nodes first: (powers, w P, w_K P, d ln P / d S), where
+    powers[e] = (u/v)^e for e = 0, 1, 2 on every node, w P and d ln P / d S
+    are on the Gauss nodes only and the Kronrod weights w_K P on all.
+    Raises QuadratureConvergenceError when more than QUADRATURE_TOL of
+    the beam lies outside the window.
     """
     s_over_u = beam.s_parallel / beam.u
     outside = 0.5 * math.erfc((beam.u - support.v_min) * s_over_u) + 0.5 * math.erfc(
@@ -147,20 +205,35 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
             f"ratio {beam.s_parallel:g}; widen width_sigmas (below a speed ratio of "
             "about 4.25 the 1e-3 u floor of the window cuts the beam)"
         )
-    v, w = _grid(support)
-    n2 = 2 * support.node_count - 1
-    v2, w2 = _grid(VelocitySupport(support.v_min, support.v_max, n2))
-    nodes = (v, w * velocity_pdf(beam, v), v2, w2 * velocity_pdf(beam, v2))
+    n = support.node_count
+    x, w = _leggauss(n)
+    w_gauss, x_kronrod, w_kronrod = _kronrod(n)
+    half = 0.5 * (support.v_max - support.v_min)
+    mid = 0.5 * (support.v_max + support.v_min)
+    v = mid + half * np.concatenate([x, x_kronrod])
+    # the density on the Gauss nodes as an array of its own, as the n-node
+    # rule alone computes it, so that w P cannot depend on the new nodes
+    pdf = np.concatenate([velocity_pdf(beam, v[:n]), velocity_pdf(beam, v[n:])])
+    u_over_v = beam.u / v
+    powers = np.stack([u_over_v**e for e in range(3)])
+    # d ln P / d S at fixed u; the window's own motion with S only
+    # moves mass that the truncation already neglects
+    dlogp = 1.0 / beam.s_parallel - 2.0 * beam.s_parallel * ((v[:n] - beam.u) / beam.u) ** 2
+    nodes = (
+        powers,
+        half * w * pdf[:n],
+        half * np.concatenate([w_gauss, w_kronrod]) * pdf,
+        dlogp,
+    )
     for a in nodes:
         a.setflags(write=False)
     return nodes
 
 
-def _phase_profile(net, beam: BeamModel, v):
-    phi = np.zeros_like(v)
-    u_over_v = beam.u / v
+def _phase_profile(net, powers):
+    phi = np.zeros_like(powers[0])
     for exponent, amplitude in net.items():
-        phi += amplitude * u_over_v**exponent
+        phi += amplitude * powers[exponent]
     return phi
 
 
@@ -208,8 +281,8 @@ def averaged_fringe(
     scales : sequence of float, optional
         Average the term list multiplied by each factor and return a
         FringeCurve whose entries follow the order of scales.  All
-        entries share one grid, one doubling grid and one continuation
-        walk; equal factors give identical entries.
+        entries share one Gauss-Kronrod grid and one continuation walk;
+        equal factors give identical entries.
 
     Returns
     -------
@@ -218,9 +291,9 @@ def averaged_fringe(
     Raises
     ------
     QuadratureConvergenceError
-        If re-evaluating at 2n - 1 nodes moves Z by more than
-        QUADRATURE_TOL, or (with unwrap) if the continuation cannot
-        track the phase through a visibility null.  With scales, the
+        If the Gauss-Kronrod (2n + 1 nodes) value of Z differs from the
+        n-node one by more than QUADRATURE_TOL, or (with unwrap) if the
+        continuation cannot track the phase through a visibility null.  With scales, the
         first failing entry in input order is reported.
     """
     if support is None:
@@ -235,25 +308,24 @@ def averaged_fringe(
     else:
         s, inv = _UNIT_SCALE, _UNIT_INDEX
 
-    # the one pass over terms: both grids and the walk bound use net
+    # the one pass over terms: the rows, the check and the walk bound use net
     net = {}
     for t in terms:
         net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
-    v, wp, v2, wp2 = _weighted_nodes(beam, support)
-    phi = _phase_profile(net, beam, v)
-    rows = np.exp(1j * (s[:, None] * phi))
+    n = support.node_count
+    powers, wp, wkp, dlogp = _weighted_nodes(beam, support)
+    phi_all = _phase_profile(net, powers)
+    phi = phi_all[:n]
+    rows = np.exp(1j * (s[:, None] * phi_all))
     if curve:
-        # d ln P / d S at fixed u; the window's own motion with S only
-        # moves mass that the truncation already neglects
-        dlogp = 1.0 / beam.s_parallel - 2.0 * beam.s_parallel * ((v - beam.u) / beam.u) ** 2
-        sums = rows @ np.column_stack([wp, wp * phi, wp * dlogp])
+        sums = rows[:, :n] @ np.column_stack([wp, wp * phi, wp * dlogp])
         z = sums[:, 0]
     else:
-        z = rows @ wp
+        z = rows[:, :n] @ wp
 
-    # doubling check, every row against the same 2n - 1 node grid
-    z2 = np.exp(1j * (s[:, None] * _phase_profile(net, beam, v2))) @ wp2
-    dz = np.abs(z - z2)
+    # Gauss-Kronrod check: the same rows, extended by the n + 1 Kronrod nodes
+    zk = rows @ wkp
+    dz = np.abs(z - zk)
     vis = np.abs(z)
     bad = dz > QUADRATURE_TOL
     if unwrap:
@@ -265,9 +337,10 @@ def averaged_fringe(
         j = inv[np.argmax(bad[inv])]
         if dz[j] > QUADRATURE_TOL:
             raise QuadratureConvergenceError(
-                f"velocity average not converged: {support.node_count} nodes gave "
-                f"{complex(z[j]):.12e}, {v2.size} nodes gave {complex(z2[j]):.12e} "
-                f"(moved {dz[j]:.3e} > {QUADRATURE_TOL:g}); raise node_count"
+                f"velocity average not converged: {n} Gauss nodes gave "
+                f"{complex(z[j]):.12e}, Gauss-Kronrod ({2 * n + 1} nodes) gave "
+                f"{complex(zk[j]):.12e} (moved {dz[j]:.3e} > {QUADRATURE_TOL:g}); "
+                "raise node_count"
             )
         raise QuadratureConvergenceError(
             f"averaged phase unresolved: quadrature error {dz[j]:.3e} "

@@ -570,6 +570,50 @@ def test_reused_parser_gives_the_fresh_process_output(config_path, capsys):
     assert cli._build_parser.cache_info().currsize == 1  # one parser served both
 
 
+@pytest.mark.parametrize(
+    "command, flags, flag, value",
+    [
+        ("residual", ["--pol-amplitude", "-100"], "--v2", "-5,10"),
+        ("residual", ["--pol-amplitude", "-100", "--v2", "10"], "--v1", "-5,90"),
+        ("simulate", [], "--voltages", "-100,100"),
+        ("simulate", [], "--voltages", "-1e2"),
+    ],
+)
+def test_negative_first_list_value_parses_as_two_tokens(
+    command, flags, flag, value, config_path, tmp_path
+):
+    # argparse takes "-5,10" for an unknown flag unless told otherwise;
+    # the two-token form must give the "=" form's output
+    outputs = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / f"{len(spelling)}.csv"
+        argv = [command, "--config", config_path, *flags, *spelling, "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    _, rows = read_csv(tmp_path / "2.csv")
+    assert len(rows) == (2 if value.count(",") else 1)
+
+
+@pytest.mark.parametrize(
+    "command, flags, flag, value",
+    [
+        ("residual", ["--pol-amplitude", "-100"], "--v2", ","),
+        ("residual", ["--pol-amplitude", "-100"], "--v2", ""),
+        ("residual", ["--pol-amplitude", "-100", "--v2", "10"], "--v1", ","),
+        ("residual", ["--pol-amplitude", "-100", "--v2", "10"], "--v1", " "),
+        ("simulate", [], "--voltages", ","),
+        ("simulate", [], "--voltages", ""),
+    ],
+)
+def test_empty_list_exits_2(command, flags, flag, value, config_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", config_path, *flags, flag, value, "--out", str(out)])
+    assert code == 2
+    assert_one_error_line(capsys, flag)
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- diagnostics
 
 

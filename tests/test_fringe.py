@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import atomfringe as af
 import _oracles as orc
+from atomfringe import fringe
 from _support import BEAM, SAG_AMP
 
 T = lambda a, e=1: af.DispersivePhaseTerm(amplitude_at_mean=a, exponent=e)
@@ -175,6 +176,31 @@ def test_node_doubling_agreement_through_deep_amplitudes():
             zs.append(ob.visibility * np.exp(1j * ob.phase))
         worst = max(worst, abs(zs[0] - zs[1]))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 65, 256, 257, 513, 1025])
+def test_kronrod_rule(n):
+    # the (2n + 1)-node rule of the convergence check, built afresh (the
+    # suite turns the RuntimeWarning of an underflowing build into an
+    # error, and Laurie's moments underflow above n = 540 unless rescaled)
+    w_gauss, x_kronrod, w_kronrod = fringe._kronrod.__wrapped__(n)
+    x_gauss = fringe._leggauss(n)[0]
+    x = np.concatenate([x_gauss, x_kronrod])
+    w = np.concatenate([w_gauss, w_kronrod])
+    order = np.argsort(x)
+    x, w = x[order], w[order]
+    assert x.size == 2 * n + 1
+    assert np.all(np.abs(x) < 1.0)
+    # the Kronrod nodes interlace the Gauss nodes
+    assert np.all(np.abs(x[1::2] - x_gauss) <= 1e-14)
+    assert np.all(w > 0.0)
+    assert abs(w.sum() - 2.0) <= 1e-14
+    # exact to degree 3n + 1, which among 2n + 1 node rules through the
+    # Gauss nodes only Kronrod's is: sum w P_k(x) = 2 delta_k0
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    for k in range(3 * n + 2):
+        assert abs(w @ p - (2.0 if k == 0 else 0.0)) <= 1e-13, k
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
 
 
 def test_quadrature_is_deterministic():
