@@ -64,14 +64,6 @@ class BeamModel:
         """Gaussian velocity width u / (s_parallel sqrt(2)) in m/s."""
         return self.u / (self.s_parallel * math.sqrt(2.0))
 
-    @classmethod
-    def from_config(cls, mapping) -> "BeamModel":
-        """Build from a config mapping with keys u_m_per_s, s_parallel."""
-        return cls(u=float(mapping["u_m_per_s"]), s_parallel=float(mapping["s_parallel"]))
-
-    def to_config(self) -> dict:
-        return {"u_m_per_s": self.u, "s_parallel": self.s_parallel}
-
 
 @dataclass(frozen=True)
 class VelocitySupport:

@@ -49,6 +49,7 @@ from .fitkit import (
 )
 from .fringe import averaged_fringe
 from .phase import (
+    EARTH_ROTATION_RATE_RAD_PER_S,
     CapacitorModel,
     DispersivePhaseTerm,
     InterferometerGeometry,
@@ -154,6 +155,40 @@ class SyntheticDesign:
                 raise ValueError(f"{name} must be non-negative")
 
 
+# Every key a config or design file may hold: (section, key, kind, bound,
+# default).  Section None is the file's top level; bound holds _number's
+# keywords; each default is the field default of the type the key builds.
+REQUIRED = object()
+SCHEMA = {
+    "config": (
+        ("geometry", "k_laser_per_m", "number", {}, REQUIRED),
+        ("geometry", "L_m", "number", {}, REQUIRED),
+        ("geometry", "latitude_deg", "number", {}, REQUIRED),
+        ("geometry", "geometry_factor_G_per_m", "number", {}, REQUIRED),
+        ("geometry", "arm_sign", "number", {}, CapacitorModel.sign),
+        ("geometry", "earth_rotation_rate_rad_per_s", "number", {}, EARTH_ROTATION_RATE_RAD_PER_S),
+        ("beam", "u_m_per_s", "number", {}, REQUIRED),
+        ("beam", "s_parallel", "number", {}, REQUIRED),
+        (None, "alpha_m3", "number or null", {"positive": True}, RunConfig.alpha_m3),
+        (None, "prism_n", "number", {}, RunConfig.prism.refractive_index_n),
+        (None, "rng_seed", "integer", {"least": 0}, RunConfig.rng_seed),
+        # the averaging and fit keys are RunConfig field names
+        ("averaging", "width_sigmas", "number", {"positive": True}, RunConfig.width_sigmas),
+        ("averaging", "node_count", "integer", {"least": 3}, RunConfig.node_count),
+        ("fit", "include_sagnac", "bool", {}, RunConfig.include_sagnac),
+        ("fit", "max_iterations", "integer", {"least": 1}, RunConfig.max_iterations),
+        ("fit", "chi2_scaling", "bool", {}, RunConfig.chi2_scaling),
+    ),
+    "design": (
+        (None, "voltages_V", "number list", {}, REQUIRED),
+        (None, "phase_sigma_base_rad", "number", {}, SyntheticDesign.phase_sigma_base),
+        (None, "phase_sigma_per_rad", "number", {}, SyntheticDesign.phase_sigma_per_rad),
+        (None, "vis_sigma", "number", {}, SyntheticDesign.vis_sigma),
+        (None, "rotation_jitter_rad_per_s", "number", {}, SyntheticDesign.rotation_jitter),
+    ),
+}
+
+
 def _number(value, what, *, integer=False, least=-math.inf, positive=False):
     """value when it is a finite JSON number (an int if integer) of at
     least least (above 0 if positive); ParseError naming what otherwise."""
@@ -171,10 +206,20 @@ def _number(value, what, *, integer=False, least=-math.inf, positive=False):
     return value
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ParseError(f"{where}: missing field '{key}'")
-    return mapping[key]
+def _checked(value, what, kind, bound):
+    """value as one SCHEMA kind within bound (numbers as floats), else ParseError."""
+    if kind == "bool":
+        if type(value) is not bool:  # the string "false" would read as True
+            raise ParseError(f"{what} must be true or false, got {value!r}")
+        return value
+    if kind == "number list":
+        if not isinstance(value, list):
+            raise ParseError(f"{what} must be a JSON array, got {value!r}")
+        return tuple(_checked(v, f"{what} entry", "number", bound) for v in value)
+    if kind == "number or null" and value is None:
+        return None
+    number = _number(value, what, integer=kind == "integer", **bound)
+    return number if kind == "integer" else float(number)
 
 
 def _load_json(path: str):
@@ -187,102 +232,64 @@ def _load_json(path: str):
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
-def load_config(path: str) -> RunConfig:
-    """Read a JSON run config.
-
-    Required sections: "geometry" (k_laser_per_m, L_m, latitude_deg,
-    geometry_factor_G_per_m, arm_sign) and "beam" (u_m_per_s,
-    s_parallel).  Optional: alpha_m3, prism_n, "averaging"
-    (width_sigmas, node_count), "fit" (include_sagnac, max_iterations,
-    chi2_scaling), rng_seed.  Values of the wrong JSON type raise
-    ParseError: the fit flags must be true or false, the counts and the
-    seed integers, every other value a finite number.
-    """
+def _read_schema(path: str, rows) -> dict:
+    """The JSON file at path read by rows; ParseError names any unknown, missing or bad key."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    sections = {
-        "geometry": _require(doc, "geometry", path),
-        "beam": _require(doc, "beam", path),
-        "averaging": doc.get("averaging", {}),
-        "fit": doc.get("fit", {}),
-    }
-    for name, section in sections.items():
-        if not isinstance(section, dict):
-            raise ParseError(f"{path}: section '{name}' must be a JSON object")
-    for name in ("geometry", "beam"):
-        for key, value in sections[name].items():
-            _number(value, f"{path}: section '{name}': {key}")
-    try:
-        geometry, capacitor = geometry_from_config(sections["geometry"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: section 'geometry': missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: section 'geometry': {exc}") from exc
-    try:
-        beam = BeamModel.from_config(sections["beam"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: section 'beam': missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: section 'beam': {exc}") from exc
+    values = {}
+    for section, key, kind, bound, default in rows:
+        where = path if section is None else f"{path}: section '{section}'"
+        source = doc if section is None else doc.setdefault(section, {})
+        if not isinstance(source, dict):
+            raise ParseError(f"{where} must be a JSON object")
+        if key in source:
+            value = _checked(source.pop(key), f"{where}: {key}", kind, bound)
+        elif default is REQUIRED:
+            raise ParseError(f"{where}: missing field '{key}'")
+        else:
+            value = default
+        (values if section is None else values.setdefault(section, {}))[key] = value
+    # every key a row read is gone from doc: what is left is unknown
+    for name, rest in doc.items():
+        if name not in values:
+            raise ParseError(f"{path}: unknown key '{name}'")
+        if rest:
+            raise ParseError(f"{path}: section '{name}': unknown key '{next(iter(rest))}'")
+    return values
 
-    def option(name, key, default, **bounds):
-        value = sections[name].get(key, default)
-        return _number(value, f"{path}: section '{name}': {key}", **bounds)
 
-    node_count = option("averaging", "node_count", DEFAULT_NODE_COUNT, integer=True, least=3)
-    width_sigmas = option("averaging", "width_sigmas", DEFAULT_WIDTH_SIGMAS, positive=True)
-    fit_opts = sections["fit"]
-    flags = {name: fit_opts.get(name, True) for name in ("include_sagnac", "chi2_scaling")}
-    for name, flag in flags.items():
-        if type(flag) is not bool:  # the string "false" would read as True
-            raise ParseError(
-                f"{path}: section 'fit': {name} must be true or false, got {flag!r}"
-            )
-    max_iterations = option("fit", "max_iterations", 200, integer=True, least=1)
-    alpha = doc.get("alpha_m3")
-    if alpha is not None:
-        alpha = float(_number(alpha, f"{path}: alpha_m3", positive=True))
-    prism_n = _number(doc.get("prism_n", 1.46), f"{path}: prism_n")
-    rng_seed = _number(doc.get("rng_seed", 0), f"{path}: rng_seed", integer=True, least=0)
+def load_config(path: str) -> RunConfig:
+    """Read a JSON run config; SCHEMA["config"] lists every key."""
+    values = _read_schema(path, SCHEMA["config"])
     try:
+        geometry, capacitor = geometry_from_config(values["geometry"])
         return RunConfig(
             geometry=geometry,
             capacitor=capacitor,
-            beam=beam,
-            alpha_m3=alpha,
-            prism=PrismGeometry(refractive_index_n=float(prism_n)),
-            width_sigmas=float(width_sigmas),
-            node_count=node_count,
-            max_iterations=max_iterations,
-            **flags,
-            rng_seed=rng_seed,
+            beam=BeamModel(values["beam"]["u_m_per_s"], values["beam"]["s_parallel"]),
+            alpha_m3=values["alpha_m3"],
+            prism=PrismGeometry(refractive_index_n=values["prism_n"]),
+            rng_seed=values["rng_seed"],
+            **values["averaging"],
+            **values["fit"],
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_design(path: str) -> SyntheticDesign:
-    """Read a JSON synthetic design: voltages_V plus noise fields."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
-    volts = _require(doc, "voltages_V", path)
-    if not isinstance(volts, list):
-        raise ParseError(f"{path}: voltages_V must be a JSON array, got {volts!r}")
-    voltages = tuple(_number(v, f"{path}: voltages_V entry") for v in volts)
-    noise = {
-        name: float(_number(doc.get(key, 0.0), f"{path}: {key}"))
-        for name, key in (
-            ("phase_sigma_base", "phase_sigma_base_rad"),
-            ("phase_sigma_per_rad", "phase_sigma_per_rad"),
-            ("vis_sigma", "vis_sigma"),
-            ("rotation_jitter", "rotation_jitter_rad_per_s"),
-        )
-    }
+    """Read a JSON synthetic design; SCHEMA["design"] lists every key."""
+    values = _read_schema(path, SCHEMA["design"])
     try:
-        return SyntheticDesign(voltages, **noise)
-    except (TypeError, ValueError) as exc:
+        return SyntheticDesign(
+            voltages=values["voltages_V"],
+            phase_sigma_base=values["phase_sigma_base_rad"],
+            phase_sigma_per_rad=values["phase_sigma_per_rad"],
+            vis_sigma=values["vis_sigma"],
+            rotation_jitter=values["rotation_jitter_rad_per_s"],
+        )
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -471,7 +478,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_synth(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = replace(config, rng_seed=args.seed)
+        config = replace(config, rng_seed=_number(args.seed, "--seed", integer=True, least=0))
     design = load_design(args.design)
     obs_set = generate_synthetic(config, design)
     write_observations(args.out, obs_set.observations)

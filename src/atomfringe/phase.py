@@ -283,6 +283,6 @@ def geometry_from_config(mapping) -> tuple[InterferometerGeometry, CapacitorMode
     )
     capacitor = CapacitorModel(
         geometry_factor_G=float(mapping["geometry_factor_G_per_m"]),
-        sign=mapping.get("arm_sign", -1),
+        sign=mapping.get("arm_sign", CapacitorModel.sign),
     )
     return geometry, capacitor

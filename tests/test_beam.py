@@ -19,11 +19,6 @@ def test_beam_validation(u, s):
         BeamModel(u=u, s_parallel=s)
 
 
-def test_config_round_trip():
-    b = BeamModel(u=1065.7, s_parallel=7.67)
-    assert BeamModel.from_config(b.to_config()) == b
-
-
 def test_pdf_peaks_at_mean_velocity():
     b = BeamModel(u=1065.7, s_parallel=7.67)
     v = np.linspace(800.0, 1300.0, 5001)

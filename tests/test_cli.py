@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import atomfringe as af
 from atomfringe import cli
 from atomfringe.cli import OBSERVATION_HEADER, main, read_observations, write_observations
-from _support import ALPHA_TRUE, C_TRUE, S_TRUE
+from _support import ALPHA_TRUE, BEAM, C_TRUE, GEO, S_TRUE, run_config
 
 LATITUDE_DEG = 43.0 + 33.0 / 60.0 + 37.0 / 3600.0
 
@@ -781,6 +781,113 @@ def test_design_bad_number_exits_2(key, value, config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "target, path, value",
+    [
+        ("config", ("fit", "include_sagnak"), False),
+        ("config", ("averaging", "nodes"), 5),
+        ("config", ("rng_sed",), 3),
+        ("config", ("geometry", "earth_rotation_rate"), 0.0),
+        ("design", ("phase_sigma_base",), 0.05),
+        ("config", ("averagin",), {"node_count": 5}),  # an unknown section
+    ],
+)
+def test_unknown_key_exits_2(target, path, value, tmp_path, capsys):
+    # a misspelt key must not fall back to the default it meant to change
+    docs = {"config": base_config(), "design": design_doc()}
+    set_path(docs[target], path, value)
+    paths = {name: write_config(tmp_path, doc, f"{name}.json") for name, doc in docs.items()}
+    out = tmp_path / "obs.csv"
+    argv = ["synth", "--config", paths["config"], "--design", paths["design"]]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert_one_error_line(capsys, f"{target}.json", f"unknown key '{path[-1]}'")
+    assert not out.exists()
+
+
+EVERY_OPTION = {
+    "geometry": {**base_config()["geometry"], "arm_sign": 1, "earth_rotation_rate_rad_per_s": 7e-5},
+    "prism_n": 1.5,
+    "rng_seed": 4,
+    "averaging": {"width_sigmas": 9.0, "node_count": 301},
+    "fit": {"include_sagnac": False, "max_iterations": 50, "chi2_scaling": False},
+}
+
+
+def benchmark_config(s_parallel, alpha_m3, **extra):
+    """The shape of the configs the benchmark writes: an integer arm_sign."""
+    doc = {**base_config(), "beam": {"u_m_per_s": 1065.7, "s_parallel": s_parallel}}
+    doc["geometry"] = {**doc["geometry"], "arm_sign": -1}
+    return {**doc, "alpha_m3": alpha_m3, **extra}
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        (base_config(), run_config()),
+        (
+            benchmark_config(S_TRUE, 1.2e-30, fit={"include_sagnac": True, "chi2_scaling": False}),
+            dataclasses.replace(run_config(), alpha_m3=1.2e-30, chi2_scaling=False),
+        ),
+        (
+            benchmark_config(9.5, 2e-30),
+            dataclasses.replace(run_config(), alpha_m3=2e-30, beam=af.BeamModel(1065.7, 9.5)),
+        ),
+        (
+            benchmark_config(9.5, None),  # a residual scan needs no polarizability
+            dataclasses.replace(run_config(), alpha_m3=None, beam=af.BeamModel(1065.7, 9.5)),
+        ),
+        (
+            {**base_config(), **EVERY_OPTION},
+            cli.RunConfig(
+                geometry=dataclasses.replace(GEO, earth_rotation_rate=7e-5),
+                capacitor=af.CapacitorModel(geometry_factor_G=2.486e5, sign=1),
+                beam=BEAM,
+                alpha_m3=ALPHA_TRUE,
+                prism=af.PrismGeometry(refractive_index_n=1.5),
+                width_sigmas=9.0,
+                node_count=301,
+                include_sagnac=False,
+                max_iterations=50,
+                chi2_scaling=False,
+                rng_seed=4,
+            ),
+        ),
+    ],
+)
+def test_config_builds_the_documented_run(doc, expected, tmp_path):
+    assert cli.load_config(write_config(tmp_path, doc)) == expected
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        (design_doc(), cli.SyntheticDesign((100.0, 200.0, 300.0, 400.0), 0.05, 0.0, 0.005)),
+        (
+            design_doc(voltages_V=[1, 2.5], phase_sigma_per_rad=0.02, rotation_jitter_rad_per_s=1e-5),
+            cli.SyntheticDesign((1.0, 2.5), 0.05, 0.02, 0.005, 1e-5),
+        ),
+    ],
+)
+def test_design_builds_the_documented_design(doc, expected, tmp_path):
+    assert cli.load_design(write_config(tmp_path, doc)) == expected
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    # the schema table lives in the CLI; a library import does not pay for it
+    package_root = str(Path(af.__file__).resolve().parents[1])
+    probe = "import sys, atomfringe; sys.exit('atomfringe.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": package_root}
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+
+
+def test_readme_documents_every_schema_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    top = {"config": "top level", "design": "design file"}
+    for name, rows in cli.SCHEMA.items():
+        for section, key, *_ in rows:
+            assert f"| {section or top[name]} | `{key}` |" in readme, (name, section, key)
+
+
+@pytest.mark.parametrize(
     "command, flags, flag",
     [
         ("simulate", ["--voltages", "nan,100"], "--voltages"),
@@ -791,10 +898,13 @@ def test_design_bad_number_exits_2(key, value, config_path, tmp_path, capsys):
         ("tune", ["--voltage", "inf"], "--voltage"),
         ("residual", ["--pol-amplitude", "-100", "--v2", "nan"], "--v2"),
         ("residual", ["--pol-amplitude", "-100", "--v2", "10", "--v1", "inf"], "--v1"),
+        ("synth", ["--design", "{design}", "--seed", "-1"], "--seed"),
     ],
 )
 def test_flag_bad_number_exits_2(command, flags, flag, config_path, tmp_path, capsys):
+    design = write_config(tmp_path, design_doc(), "design.json")
     out = tmp_path / "out.csv"
+    flags = [f.format(design=design) for f in flags]
     code = main([command, "--config", config_path, *flags, "--out", str(out)])
     assert code == 2
     assert_one_error_line(capsys, flag)
@@ -869,20 +979,25 @@ def test_obs_non_finite_cell_exits_2(field, cell, config_path, tmp_path, capsys)
 # the exit contract under malformed numbers: every command exits 0 with
 # finite numbers, or exits 1 or 2 with exactly one line on stderr
 MALFORMED = (math.nan, math.inf, -math.inf, True, "1.5", "123", 2.7, -1, 0)
-CONFIG_PLACES = tuple(
-    ("config", path)
-    for path in (
-        ("alpha_m3",),
-        ("prism_n",),
-        ("rng_seed",),
-        ("averaging", "node_count"),
-        ("averaging", "width_sigmas"),
-        ("fit", "max_iterations"),
-        ("fit", "chi2_scaling"),
-        ("beam", "s_parallel"),
-        ("geometry", "latitude_deg"),
-    )
-)
+
+
+UNKNOWN = "unknown_key"  # no SCHEMA row has it
+
+
+def schema_places(name):
+    """A place per SCHEMA row of the file name, the second entry of each
+    list, and the key UNKNOWN in each section."""
+    places, sections = [], {}
+    for section, key, kind, *_ in cli.SCHEMA[name]:
+        path = (key,) if section is None else (section, key)
+        places.append((name, path))
+        if kind == "number list":
+            places.append((name, (*path, 1)))
+        sections[path[:-1]] = None
+    return tuple(places) + tuple((name, (*section, UNKNOWN)) for section in sections)
+
+
+CONFIG_PLACES = schema_places("config")
 # each command's fixed flags and its own places for a malformed value
 LIST_FLAGS = ("--voltages", "--v1", "--v2")  # these get "0,<value>"
 COMMANDS = {
@@ -891,19 +1006,7 @@ COMMANDS = {
         {"--voltages": "0,100,200"},
         (("flag", "--voltages"), ("flag", "--points"), ("flag", "--u-max")),
     ),
-    "synth": (
-        {"--design": "{design}"},
-        tuple(
-            ("design", path)
-            for path in (
-                ("voltages_V",),
-                ("voltages_V", 1),
-                ("vis_sigma",),
-                ("phase_sigma_base_rad",),
-                ("rotation_jitter_rad_per_s",),
-            )
-        ),
-    ),
+    "synth": ({"--design": "{design}"}, schema_places("design")),
     "fit": ({"--obs": "{obs}"}, tuple(("obs", field) for field in OBSERVATION_HEADER)),
     "tune": ({"--pol-amplitude": "-100"}, ()),
     "residual": (
@@ -952,6 +1055,8 @@ def test_every_command_keeps_the_exit_contract(data, tmp_path_factory):
     with contextlib.redirect_stderr(err):
         code = main(argv)
     lines = err.getvalue().splitlines()
+    if target in docs and where[-1] == UNKNOWN:  # whatever its value
+        assert code == 2 and UNKNOWN in lines[0]
     if code == 0:
         assert lines == []
         text = out.read_text(encoding="utf-8")
