@@ -157,23 +157,25 @@ class SyntheticDesign:
 
 # Every key a config or design file may hold: (section, key, kind, bound,
 # default).  Section None is the file's top level; bound holds _number's
-# keywords; each default is the field default of the type the key builds.
+# keywords, so a value out of range is refused in the file's own units
+# and named by its key; each default is the field default of the type
+# the key builds.
 REQUIRED = object()
 SCHEMA = {
     "config": (
-        ("geometry", "k_laser_per_m", "number", {}, REQUIRED),
-        ("geometry", "L_m", "number", {}, REQUIRED),
-        ("geometry", "latitude_deg", "number", {}, REQUIRED),
-        ("geometry", "geometry_factor_G_per_m", "number", {}, REQUIRED),
-        ("geometry", "arm_sign", "number", {}, CapacitorModel.sign),
-        ("geometry", "earth_rotation_rate_rad_per_s", "number", {}, EARTH_ROTATION_RATE_RAD_PER_S),
-        ("beam", "u_m_per_s", "number", {}, REQUIRED),
-        ("beam", "s_parallel", "number", {}, REQUIRED),
-        (None, "alpha_m3", "number or null", {"positive": True}, RunConfig.alpha_m3),
-        (None, "prism_n", "number", {}, RunConfig.prism.refractive_index_n),
+        ("geometry", "k_laser_per_m", "number", {"above": 0}, REQUIRED),
+        ("geometry", "L_m", "number", {"above": 0}, REQUIRED),
+        ("geometry", "latitude_deg", "number", {"least": -90, "most": 90}, REQUIRED),
+        ("geometry", "geometry_factor_G_per_m", "number", {"above": 0}, REQUIRED),
+        ("geometry", "arm_sign", "number", {"one_of": (-1, 1)}, CapacitorModel.sign),
+        ("geometry", "earth_rotation_rate_rad_per_s", "number", {"least": 0}, EARTH_ROTATION_RATE_RAD_PER_S),
+        ("beam", "u_m_per_s", "number", {"above": 0}, REQUIRED),
+        ("beam", "s_parallel", "number", {"above": 1}, REQUIRED),
+        (None, "alpha_m3", "number or null", {"above": 0}, RunConfig.alpha_m3),
+        (None, "prism_n", "number", {"least": 1}, RunConfig.prism.refractive_index_n),
         (None, "rng_seed", "integer", {"least": 0}, RunConfig.rng_seed),
         # the averaging and fit keys are RunConfig field names
-        ("averaging", "width_sigmas", "number", {"positive": True}, RunConfig.width_sigmas),
+        ("averaging", "width_sigmas", "number", {"above": 0}, RunConfig.width_sigmas),
         ("averaging", "node_count", "integer", {"least": 3}, RunConfig.node_count),
         ("fit", "include_sagnac", "bool", {}, RunConfig.include_sagnac),
         ("fit", "max_iterations", "integer", {"least": 1}, RunConfig.max_iterations),
@@ -181,28 +183,41 @@ SCHEMA = {
     ),
     "design": (
         (None, "voltages_V", "number list", {}, REQUIRED),
-        (None, "phase_sigma_base_rad", "number", {}, SyntheticDesign.phase_sigma_base),
-        (None, "phase_sigma_per_rad", "number", {}, SyntheticDesign.phase_sigma_per_rad),
-        (None, "vis_sigma", "number", {}, SyntheticDesign.vis_sigma),
-        (None, "rotation_jitter_rad_per_s", "number", {}, SyntheticDesign.rotation_jitter),
+        (None, "phase_sigma_base_rad", "number", {"least": 0}, SyntheticDesign.phase_sigma_base),
+        (None, "phase_sigma_per_rad", "number", {"least": 0}, SyntheticDesign.phase_sigma_per_rad),
+        (None, "vis_sigma", "number", {"least": 0}, SyntheticDesign.vis_sigma),
+        (None, "rotation_jitter_rad_per_s", "number", {"least": 0}, SyntheticDesign.rotation_jitter),
     ),
 }
 
 
-def _number(value, what, *, integer=False, least=-math.inf, positive=False):
+def _number(
+    value, what, *, integer=False, least=-math.inf, above=-math.inf, most=math.inf, one_of=()
+):
     """value when it is a finite JSON number (an int if integer) of at
-    least least (above 0 if positive); ParseError naming what otherwise."""
+    least least, above above, at most most and, if one_of is given, equal
+    to one of its entries; ParseError naming what and value otherwise."""
     # exact type checks: JSON true/false must not pass as 1/0, "1.5" as 1.5
     if (
         type(value) not in ((int,) if integer else (int, float))
         or not math.isfinite(value)
-        or value < least
-        or (positive and not value > 0)
+        or not least <= value <= most
+        or not value > above
+        or (one_of and value not in one_of)
     ):
+        bounds = []
+        if least > -math.inf:
+            bounds.append(f"of at least {least:g}")
+        if above > -math.inf:
+            bounds.append(f"above {above:g}")
+        if most < math.inf:
+            bounds.append(f"at most {most:g}")
+        if one_of:
+            bounds.append("equal to " + " or ".join(f"{x:g}" for x in one_of))
         kind = "an integer" if integer else "a finite number"
-        bound = f" of at least {least:g}" if least > -math.inf else ""
-        bound = " above 0" if positive else bound
-        raise ParseError(f"{what} must be {kind}{bound}, got {value!r}")
+        if bounds:
+            kind += " " + " and ".join(bounds)
+        raise ParseError(f"{what} must be {kind}, got {value!r}")
     return value
 
 
@@ -293,14 +308,15 @@ def load_design(path: str) -> SyntheticDesign:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> ObservationSet:
+def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> tuple[Observation, ...]:
     """Simulate the measurement protocol and add seeded Gaussian noise.
 
     Per voltage: true (phase, vis_ratio) from the velocity-averaged
     model with the configured Sagnac term, then one Gaussian draw per
     noisy channel in fixed order (rotation jitter, phase, visibility).
     Without rotation jitter the whole design is one model curve.
-    Deterministic for a fixed (config.rng_seed, design).
+    Deterministic for a fixed (config.rng_seed, design).  Any number of
+    voltages is written; a fit needs an ObservationSet, which wants 3.
 
     Raises ValueError for rotation jitter when the config leaves the
     rotation term out (include_sagnac false): there is no rotation
@@ -350,7 +366,7 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> Observatio
                 vis_sigma=design.vis_sigma if design.vis_sigma > 0.0 else 1.0,
             )
         )
-    return ObservationSet(tuple(observations), ctx)
+    return tuple(observations)
 
 
 def read_observations(path: str) -> tuple[Observation, ...]:
@@ -480,8 +496,7 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         config = replace(config, rng_seed=_number(args.seed, "--seed", integer=True, least=0))
     design = load_design(args.design)
-    obs_set = generate_synthetic(config, design)
-    write_observations(args.out, obs_set.observations)
+    write_observations(args.out, generate_synthetic(config, design))
     return 0
 
 

@@ -29,7 +29,19 @@ about 4.25 at the default width, or width_sigmas below about 6.1)
 raises QuadratureConvergenceError instead of reporting that mass as
 lost visibility.  The 2n + 1 nodes, with the density folded into both
 rules' weights and the powers of u/v evaluated on them, are built once
-per (beam, support) and cached.
+per (beam, support) and cached; a call without a support finds the
+default window's nodes under the key (beam, None).
+
+A plain call (no ``scales``) is one row exp(i phi) on the 2n + 1 nodes
+and its two sums, Z and Z_K.  These become Python complex numbers, and
+everything after them is scalar work: the check above (and, with
+unwrap, the test that |Z_K - Z| is small against |Z|, without which
+arg Z is noise), visibility = abs(Z), the principal phase, and nan or
+the tuned-null shortcut for phase_unwrapped; a plain call that needs a
+walk takes the curves' walk at the one factor 1.  A curve checks and
+reports each entry through the same function, in input order, so an
+entry at factor 1 is bit-identical to the plain call and the first
+failing entry raises the plain call's error.
 
 Phases beyond the principal branch are recovered by continuation: the
 whole term list is scaled from 0 to its factor in steps small enough
@@ -50,6 +62,7 @@ the principal value of an exactly computed row plus that multiple of
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,8 +89,6 @@ _TWO_PI = 2.0 * math.pi
 _MAX_STEP_RAD = 0.5 * math.pi  # continuation step bound
 _MAX_REFINE_PASSES = 40
 _ARG_NOISE_RATIO = 1e-3  # max quadrature error, relative to |Z|, for arg(Z) to mean anything
-_UNIT_SCALE = np.ones(1)  # a plain call is the one-row curve at factor 1
-_UNIT_INDEX = np.zeros(1, dtype=int)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -186,14 +197,17 @@ def _kronrod(n: int):
 
 
 @lru_cache(maxsize=64)
-def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
+def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
     """Read-only arrays on the 2n + 1 nodes v of the Gauss-Kronrod grid,
     the n Gauss nodes first: (powers, w P, w_K P, d ln P / d S), where
     powers[e] = (u/v)^e for e = 0, 1, 2 on every node, w P and d ln P / d S
     are on the Gauss nodes only and the Kronrod weights w_K P on all.
-    Raises QuadratureConvergenceError when more than QUADRATURE_TOL of
-    the beam lies outside the window.
+    Support None is the beam's default window, so a default call finds
+    its nodes without building one.  Raises QuadratureConvergenceError
+    when more than QUADRATURE_TOL of the beam lies outside the window.
     """
+    if support is None:
+        support = default_support(beam)
     s_over_u = beam.s_parallel / beam.u
     outside = 0.5 * math.erfc((beam.u - support.v_min) * s_over_u) + 0.5 * math.erfc(
         (support.v_max - beam.u) * s_over_u
@@ -219,10 +233,12 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
     # d ln P / d S at fixed u; the window's own motion with S only
     # moves mass that the truncation already neglects
     dlogp = 1.0 / beam.s_parallel - 2.0 * beam.s_parallel * ((v[:n] - beam.u) / beam.u) ** 2
+    # both weight arrays complex (zero imaginary part): a product with a
+    # complex row then skips the cast numpy would make on every call
     nodes = (
         powers,
-        half * w * pdf[:n],
-        half * np.concatenate([w_gauss, w_kronrod]) * pdf,
+        (half * w * pdf[:n]).astype(complex),
+        (half * np.concatenate([w_gauss, w_kronrod]) * pdf).astype(complex),
         dlogp,
     )
     for a in nodes:
@@ -231,10 +247,40 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
 
 
 def _phase_profile(net, powers):
-    phi = np.zeros_like(powers[0])
-    for exponent, amplitude in net.items():
+    """phi = sum_e net_e (u/v)^e on every node (0 for no terms)."""
+    items = iter(net.items())
+    exponent, amplitude = next(items, (0, 0.0))
+    phi = amplitude * powers[exponent]
+    for exponent, amplitude in items:
         phi += amplitude * powers[exponent]
     return phi
+
+
+def _report(z: complex, zk: complex, n: int, unwrap: bool):
+    """(|z|, arg z) of one n-node Gauss sum z, or QuadratureConvergenceError
+    when its Gauss-Kronrod value zk (same row, 2n + 1 nodes) moved it by
+    more than QUADRATURE_TOL, or (with unwrap) by more than
+    _ARG_NOISE_RATIO |z|."""
+    dz = abs(z - zk)
+    vis = abs(z)
+    if dz > QUADRATURE_TOL:
+        raise QuadratureConvergenceError(
+            f"velocity average not converged: {n} Gauss nodes gave "
+            f"{z:.12e}, Gauss-Kronrod ({2 * n + 1} nodes) gave "
+            f"{zk:.12e} (moved {dz:.3e} > {QUADRATURE_TOL:g}); "
+            "raise node_count"
+        )
+    # dz/|Z| estimates the error of arg(Z); once the visibility is down
+    # at the quadrature floor the phase is pure noise and unwrapping it
+    # would silently return garbage
+    if unwrap and dz > _ARG_NOISE_RATIO * vis:
+        raise QuadratureConvergenceError(
+            f"averaged phase unresolved: quadrature error {dz:.3e} "
+            f"is not small against |Z| = {vis:.3e}; the phase is "
+            "meaningless this deep into the dispersion tail (raise "
+            "node_count, or pass unwrap=False for |Z| alone)"
+        )
+    return vis, cmath.phase(z)
 
 
 def _walk_side(end, l1, phi, wp):
@@ -252,6 +298,50 @@ def _walk_side(end, l1, phi, wp):
         rows[1:] = np.exp(1j * (end / steps * phi))
         np.cumprod(rows, axis=0, out=rows)
     return np.linspace(0.0, end, steps + 1), np.angle(rows @ wp)
+
+
+def _unwrap(s, principal, l1, phi, wp):
+    """Continuation-unwrapped phases at the sorted distinct factors s
+    (l1 > 0), whose principal values are principal.
+
+    One walk from 0 to the farthest factor on each side: the net
+    amplitude l1 bounds |d arg / d s| up to the distribution's (u/v)^2
+    reach, so ceil(|s| l1) steps keep each jump well under pi/2; steps
+    that still jump too far (near visibility nulls) are bisected.  Every
+    requested factor lies on the path (tag = its entry).  Each side's
+    rows come by recurrence (see _walk_side); bisection midpoints keep
+    their exact exp.
+    """
+    (lo, lo_args), (hi, hi_args) = (
+        _walk_side(end, l1, phi, wp) for end in (min(s[0], 0.0), max(s[-1], 0.0))
+    )
+    path = np.concatenate([lo, hi, s])
+    args = np.concatenate([lo_args, hi_args, principal])
+    tag = np.concatenate([np.full(lo.size + hi.size, -1), np.arange(s.size)])
+    for _ in range(_MAX_REFINE_PASSES):
+        order = np.argsort(path, kind="stable")
+        path, args, tag = path[order], args[order], tag[order]
+        walked = np.unwrap(args)
+        jumps = np.abs(np.diff(walked)) > _MAX_STEP_RAD
+        if not jumps.any():
+            break
+        mids = 0.5 * (path[:-1][jumps] + path[1:][jumps])
+        path = np.concatenate([path, mids])
+        args = np.concatenate([args, np.angle(np.exp(1j * (mids[:, None] * phi)) @ wp)])
+        tag = np.concatenate([tag, np.full(mids.size, -1)])
+    else:
+        raise QuadratureConvergenceError(
+            "phase continuation did not stabilize; the averaged phase jumps by "
+            "more than pi/2 at every refinement depth (visibility null too sharp)"
+        )
+    # arg Z(0) = 0 anchors both sides of the walk
+    walked -= walked[np.searchsorted(path, 0.0)]
+    on_path = tag >= 0
+    unwrapped = np.empty(s.size)
+    unwrapped[tag[on_path]] = walked[on_path]
+    # continuation ends on the same grid, so it differs from the
+    # principal value by an exact multiple of 2 pi; snap it there
+    return principal + _TWO_PI * np.round((unwrapped - principal) / _TWO_PI)
 
 
 def averaged_fringe(
@@ -282,7 +372,8 @@ def averaged_fringe(
         Average the term list multiplied by each factor and return a
         FringeCurve whose entries follow the order of scales.  All
         entries share one Gauss-Kronrod grid and one continuation walk;
-        equal factors give identical entries.
+        equal factors give identical entries, and an entry at factor 1
+        is bit-identical to the plain call.
 
     Returns
     -------
@@ -296,117 +387,55 @@ def averaged_fringe(
         continuation cannot track the phase through a visibility null.  With scales, the
         first failing entry in input order is reported.
     """
-    if support is None:
-        support = default_support(beam)
-    curve = scales is not None
-    if curve:
+    if scales is not None:
         scales = np.asarray(scales, dtype=float)
         if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
             raise ValueError("scales must be a non-empty sequence of finite numbers")
-        # equal factors share one row, so they give bit-identical entries
-        s, inv = np.unique(scales, return_inverse=True)
-    else:
-        s, inv = _UNIT_SCALE, _UNIT_INDEX
 
     # the one pass over terms: the rows, the check and the walk bound use net
     net = {}
     for t in terms:
         net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
-    n = support.node_count
-    powers, wp, wkp, dlogp = _weighted_nodes(beam, support)
-    phi_all = _phase_profile(net, powers)
-    phi = phi_all[:n]
-    rows = np.exp(1j * (s[:, None] * phi_all))
-    if curve:
-        sums = rows[:, :n] @ np.column_stack([wp, wp * phi, wp * dlogp])
-        z = sums[:, 0]
-    else:
-        z = rows[:, :n] @ wp
-
-    # Gauss-Kronrod check: the same rows, extended by the n + 1 Kronrod nodes
-    zk = rows @ wkp
-    dz = np.abs(z - zk)
-    vis = np.abs(z)
-    bad = dz > QUADRATURE_TOL
-    if unwrap:
-        # dz/|Z| estimates the error of arg(Z); once the visibility is
-        # down at the quadrature floor the phase is pure noise and
-        # unwrapping it would silently return garbage
-        bad |= dz > _ARG_NOISE_RATIO * vis
-    if bad.any():
-        j = inv[np.argmax(bad[inv])]
-        if dz[j] > QUADRATURE_TOL:
-            raise QuadratureConvergenceError(
-                f"velocity average not converged: {n} Gauss nodes gave "
-                f"{complex(z[j]):.12e}, Gauss-Kronrod ({2 * n + 1} nodes) gave "
-                f"{complex(zk[j]):.12e} (moved {dz[j]:.3e} > {QUADRATURE_TOL:g}); "
-                "raise node_count"
-            )
-        raise QuadratureConvergenceError(
-            f"averaged phase unresolved: quadrature error {dz[j]:.3e} "
-            f"is not small against |Z| = {vis[j]:.3e}; the phase is "
-            "meaningless this deep into the dispersion tail (raise "
-            "node_count, or pass unwrap=False for |Z| alone)"
-        )
-
-    principal = np.angle(z)
     # bounds the averaged polynomial itself; 0 at a tuned null (no walk)
-    l1 = float(sum(abs(a) for a in net.values()))
-    if not unwrap:
-        unwrapped = np.full(s.size, math.nan)
-    elif l1 == 0.0:
-        unwrapped = principal
-    else:
-        # one walk from 0 to the farthest factor on each side: the net
-        # amplitude l1 bounds |d arg / d s| up to the distribution's
-        # (u/v)^2 reach, so ceil(|s| l1) steps keep each jump well under
-        # pi/2; steps that still jump too far (near visibility nulls) are
-        # bisected.  Every requested factor lies on the path (tag = its
-        # row).  Each side's rows come by recurrence (see _walk_side);
-        # bisection midpoints keep their exact exp.
-        (lo, lo_args), (hi, hi_args) = (
-            _walk_side(end, l1, phi, wp) for end in (min(s[0], 0.0), max(s[-1], 0.0))
-        )
-        path = np.concatenate([lo, hi, s])
-        args = np.concatenate([lo_args, hi_args, principal])
-        tag = np.concatenate([np.full(lo.size + hi.size, -1), np.arange(s.size)])
-        for _ in range(_MAX_REFINE_PASSES):
-            order = np.argsort(path, kind="stable")
-            path, args, tag = path[order], args[order], tag[order]
-            walked = np.unwrap(args)
-            jumps = np.abs(np.diff(walked)) > _MAX_STEP_RAD
-            if not jumps.any():
-                break
-            mids = 0.5 * (path[:-1][jumps] + path[1:][jumps])
-            path = np.concatenate([path, mids])
-            args = np.concatenate([args, np.angle(np.exp(1j * (mids[:, None] * phi)) @ wp)])
-            tag = np.concatenate([tag, np.full(mids.size, -1)])
-        else:
-            raise QuadratureConvergenceError(
-                "phase continuation did not stabilize; the averaged phase jumps by "
-                "more than pi/2 at every refinement depth (visibility null too sharp)"
-            )
-        # arg Z(0) = 0 anchors both sides of the walk
-        walked -= walked[np.searchsorted(path, 0.0)]
-        on_path = tag >= 0
-        unwrapped = np.empty(s.size)
-        unwrapped[tag[on_path]] = walked[on_path]
-        # continuation ends on the same grid, so it differs from the
-        # principal value by an exact multiple of 2 pi; snap it there
-        unwrapped = principal + _TWO_PI * np.round((unwrapped - principal) / _TWO_PI)
+    l1 = float(sum(map(abs, net.values())))
+    powers, wp, wkp, dlogp = _weighted_nodes(beam, support)
+    n = wp.size
+    phi = _phase_profile(net, powers)
 
-    if not curve:
-        return FringeObservable(
-            visibility=float(vis[0]),
-            phase=float(principal[0]),
-            phase_unwrapped=float(unwrapped[0]),
-        )
+    if scales is None:
+        rows = np.exp(1j * phi)
+        vis, phase = _report(complex(rows[:n] @ wp), complex(rows @ wkp), n, unwrap)
+        if not unwrap:
+            unwrapped = math.nan
+        elif l1 == 0.0:
+            unwrapped = phase
+        else:
+            unwrapped = float(_unwrap(np.ones(1), np.array([phase]), l1, phi[:n], wp)[0])
+        return FringeObservable(visibility=vis, phase=phase, phase_unwrapped=unwrapped)
+
+    # equal factors share one row, so they give bit-identical entries
+    s, inv = np.unique(scales, return_inverse=True)
+    rows = np.exp(1j * (s[:, None] * phi))
+    z = rows[:, :n] @ wp
+    # each entry is checked and reported as its plain call is, in input
+    # order, so the first failing entry raises
+    zl, zkl = z.tolist(), (rows @ wkp).tolist()
+    vis, principal = np.array([_report(zl[j], zkl[j], n, unwrap) for j in inv.tolist()]).T
+    if not unwrap:
+        unwrapped = np.full(scales.size, math.nan)
+    elif l1 == 0.0:
+        unwrapped = principal.copy()
+    else:
+        distinct = np.empty(s.size)
+        distinct[inv] = principal
+        unwrapped = _unwrap(s, distinct, l1, phi[:n], wp)[inv]
+    sums = rows[:, :n] @ np.column_stack([wp * phi[:n], wp * dlogp])
     return FringeCurve(
-        visibility=vis[inv],
-        phase=principal[inv],
-        phase_unwrapped=unwrapped[inv],
-        dlogz_dscale=(1j * sums[:, 1] / z)[inv],
-        dlogz_dspeed_ratio=(sums[:, 2] / z)[inv],
+        visibility=vis,
+        phase=principal,
+        phase_unwrapped=unwrapped,
+        dlogz_dscale=(1j * sums[:, 0] / z)[inv],
+        dlogz_dspeed_ratio=(sums[:, 1] / z)[inv],
     )
 
 

@@ -79,7 +79,8 @@ def test_criterion_06_parameter_recovery():
     # noisy: every seeded realization lands within 3 reported sigmas;
     # chi2_scaling off because the generating sigmas are exact
     for seed in range(100, 200):
-        obs_set = generate_synthetic(run_config(seed), DESIGN)
+        config = run_config(seed)
+        obs_set = af.ObservationSet(generate_synthetic(config, DESIGN), config.model_context())
         result = af.fit(obs_set, chi2_scaling=False)
         assert result.converged, f"seed {seed} did not converge"
         sigma_s, sigma_c = af.parameter_uncertainties(result)
@@ -134,7 +135,7 @@ def test_criterion_09_numerical_robustness(tmp_path):
     # observation files re-ingest losslessly
     first = tmp_path / "obs.csv"
     again = tmp_path / "obs2.csv"
-    write_observations(str(first), generate_synthetic(run_config(17), DESIGN).observations)
+    write_observations(str(first), generate_synthetic(run_config(17), DESIGN))
     write_observations(str(again), read_observations(str(first)))
     assert first.read_bytes() == again.read_bytes()
 

@@ -374,18 +374,15 @@ def test_fit_sagnac_off_biases_s_upward(config_path, tmp_path):
 
 
 def test_fit_rejects_underdetermined_file(config_path, tmp_path, capsys):
+    # writing a 2-voltage file needs no fit; fitting it does
+    design = write_config(tmp_path, design_doc(voltages_V=[100.0, 200.0]), "design.json")
     obs = tmp_path / "two.csv"
-    write_observations(
-        str(obs),
-        [
-            af.Observation(100.0, -1.0, 0.05, 0.9, 0.005),
-            af.Observation(200.0, -4.0, 0.05, 0.7, 0.005),
-        ],
-    )
+    assert main(["synth", "--config", config_path, "--design", design, "--out", str(obs)]) == 0
+    assert [o.voltage_U for o in read_observations(str(obs))] == [100.0, 200.0]
     report = tmp_path / "r.json"
     code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", str(report)])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert_one_error_line(capsys, "need at least 3 observations")
 
 
 def test_fit_not_converged_exits_1(tmp_path, capsys):
@@ -749,6 +746,10 @@ def assert_one_error_line(capsys, *words):
         (("alpha_m3",), "1.1e-30"),
         (("beam", "u_m_per_s"), "1065.7"),
         (("geometry", "latitude_deg"), math.nan),
+        # out of range: refused in the file's units (degrees), not the model's
+        (("geometry", "latitude_deg"), 95),
+        (("beam", "s_parallel"), 0.5),
+        (("geometry", "arm_sign"), 0.5),
     ],
 )
 def test_config_bad_number_exits_2(path, value, tmp_path, capsys):
@@ -758,7 +759,9 @@ def test_config_bad_number_exits_2(path, value, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(["simulate", "--config", config, "--voltages", "0,100", "--out", str(out)])
     assert code == 2
-    assert_one_error_line(capsys, path[-1])
+    # the line names the key, its section and the value as written
+    section = (f"section '{path[0]}': ",) if len(path) > 1 else ()
+    assert_one_error_line(capsys, *section, f"{path[-1]} must be", f"got {value!r}")
 
 
 @pytest.mark.parametrize(

@@ -277,6 +277,47 @@ def test_batched_curve_equals_scalar_calls(s_par, amps):
         assert values[-1] == values[0]
 
 
+def outcome(call):
+    """call()'s result, or the message of the QuadratureConvergenceError it raised."""
+    try:
+        return call()
+    except af.QuadratureConvergenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60)
+@given(
+    s_par=st.floats(4.5, 12.0),
+    terms=st.lists(
+        st.tuples(st.floats(-200.0, 200.0), st.sampled_from([0, 1, 2])), max_size=3
+    ),
+    unwrap=st.booleans(),
+)
+@example(s_par=4.5, terms=[(-60.0, 1)], unwrap=False)  # not converged
+@example(s_par=4.6, terms=[(30.0, 1), (-30.0, 2)], unwrap=True)  # not converged
+@example(s_par=8.0, terms=[(-200.0, 1)], unwrap=True)  # |Z| at the floor: phase unresolved
+@example(s_par=8.0, terms=[(-200.0, 1)], unwrap=False)  # the same |Z| alone
+@example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], unwrap=True)  # walk into a deep null
+@example(s_par=8.0, terms=[(-50.0, 1), (50.0, 1)], unwrap=True)  # tuned null: no walk
+def test_plain_call_is_the_curve_at_factor_one(s_par, terms, unwrap):
+    # one check and one report serve both call shapes: the same numbers,
+    # or the same error with the same message
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    terms = [T(a, e) for a, e in terms]
+    plain = outcome(lambda: af.averaged_fringe(terms, beam, unwrap=unwrap))
+    curve = outcome(lambda: af.averaged_fringe(terms, beam, unwrap=unwrap, scales=[1.0]))
+    if isinstance(plain, str) or isinstance(curve, str):
+        assert plain == curve
+        return
+    assert plain.visibility == curve.visibility[0]
+    assert plain.phase == curve.phase[0]
+    if unwrap:
+        gap = abs(plain.phase_unwrapped - curve.phase_unwrapped[0])
+        assert gap <= 1e-14 / plain.visibility
+    else:
+        assert math.isnan(plain.phase_unwrapped) and math.isnan(curve.phase_unwrapped[0])
+
+
 @settings(max_examples=12)
 @given(
     s_par=st.floats(8.0, 12.0),
