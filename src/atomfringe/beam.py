@@ -77,9 +77,9 @@ class VelocitySupport:
     node_count: int = DEFAULT_NODE_COUNT
 
     def __post_init__(self):
-        if not 0.0 < self.v_min < self.v_max:
+        if not 0.0 < self.v_min < self.v_max < math.inf:
             raise ValueError(
-                f"require 0 < v_min < v_max, got [{self.v_min}, {self.v_max}]"
+                f"require 0 < v_min < v_max < inf, got [{self.v_min}, {self.v_max}]"
             )
         if self.node_count < 3:
             raise ValueError(f"node_count must be at least 3, got {self.node_count}")
@@ -113,8 +113,8 @@ def default_support(
     of about 4.25 the clamp cuts off more than that tolerance, and the
     velocity average refuses such a window.
     """
-    if width_sigmas <= 0.0:
-        raise ValueError(f"width_sigmas must be positive, got {width_sigmas}")
+    if not 0.0 < width_sigmas < math.inf:
+        raise ValueError(f"width_sigmas must be positive and finite, got {width_sigmas}")
     half = width_sigmas * beam.sigma
     v_min = max(beam.u - half, 1e-3 * beam.u)
     return VelocitySupport(v_min=v_min, v_max=beam.u + half, node_count=node_count)

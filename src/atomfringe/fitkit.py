@@ -106,6 +106,10 @@ class ModelContext:
     def __post_init__(self):
         if not self.beam_u > 0.0:
             raise ValueError(f"beam_u must be positive, got {self.beam_u}")
+        if not math.isfinite(self.sagnac_amplitude_at_mean):
+            raise ValueError(
+                f"sagnac_amplitude_at_mean must be finite, got {self.sagnac_amplitude_at_mean}"
+            )
 
 
 @dataclass(frozen=True)
@@ -235,8 +239,10 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     if initial is None:
         initial = _default_initial(obs_set)
     s0, c0 = float(initial[0]), float(initial[1])
-    if not s0 > 1.0:
-        raise ValueError(f"initial s_parallel must exceed 1, got {s0}")
+    if not 1.0 < s0 < math.inf:
+        raise ValueError(f"initial s_parallel must be finite and exceed 1, got {s0}")
+    if not math.isfinite(c0):
+        raise ValueError(f"initial coeff_per_U2 must be finite, got {c0}")
     # optimize in initial-value units so both gradient components are
     # comparable
     scale = np.array([abs(s0), max(abs(c0), 1e-6)])

@@ -51,13 +51,14 @@ same fold, l1 = sum_e |net_e|, which bounds the averaged polynomial
 pointwise: a tuned null (u/v terms summing to 0) takes no walk, and a
 Roberts mixture walks only as far as its uncancelled part.  A
 call with several factors (``scales``) makes one such walk from 0 to
-the farthest factor on each side of zero, with every requested factor
-on the path, so a whole curve of u/v amplitudes costs one pass over
-the velocity grid.  The walk's steps are equal, so its rows are built
-by recurrence, row k = exp(i step phi)^k (one exp row, then a cumulative
-product); they only choose the 2 pi branch, and every reported phase is
-the principal value of an exactly computed row plus that multiple of
-2 pi.
+the farthest factor on each side of zero, with factor 0 (arg exactly
+0) and every requested factor on the path, so a whole curve of u/v
+amplitudes costs one pass over the velocity grid, and each side computes
+only its inner points (none for a side of one step).  The walk's steps
+are equal, so its rows are built by recurrence, row k = exp(i step
+phi)^k (one exp row, then block doubling); they only choose the 2 pi
+branch, and every reported phase is the principal value of an exactly
+computed row plus 2 pi times the branches the walk crossed.
 """
 
 from __future__ import annotations
@@ -228,8 +229,10 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
     # the density on the Gauss nodes as an array of its own, as the n-node
     # rule alone computes it, so that w P cannot depend on the new nodes
     pdf = np.concatenate([velocity_pdf(beam, v[:n]), velocity_pdf(beam, v[n:])])
-    u_over_v = beam.u / v
-    powers = np.stack([u_over_v**e for e in range(3)])
+    powers = np.empty((3, v.size))
+    powers[0] = 1.0
+    np.divide(beam.u, v, out=powers[1])
+    np.multiply(powers[1], powers[1], out=powers[2])
     # d ln P / d S at fixed u; the window's own motion with S only
     # moves mass that the truncation already neglects
     dlogp = 1.0 / beam.s_parallel - 2.0 * beam.s_parallel * ((v[:n] - beam.u) / beam.u) ** 2
@@ -263,7 +266,7 @@ def _report(z: complex, zk: complex, n: int, unwrap: bool):
     _ARG_NOISE_RATIO |z|."""
     dz = abs(z - zk)
     vis = abs(z)
-    if dz > QUADRATURE_TOL:
+    if not dz <= QUADRATURE_TOL:  # a NaN average fails too
         raise QuadratureConvergenceError(
             f"velocity average not converged: {n} Gauss nodes gave "
             f"{z:.12e}, Gauss-Kronrod ({2 * n + 1} nodes) gave "
@@ -284,20 +287,26 @@ def _report(z: complex, zk: complex, n: int, unwrap: bool):
 
 
 def _walk_side(end, l1, phi, wp):
-    """Walk factors from 0 to end in ceil(|end| l1) equal steps, and arg Z
-    at each, with row k built as exp(i end phi / steps)^k by np.cumprod.
+    """The walk from 0 to end in ceil(|end| l1) equal steps, without its two
+    ends (both are on the path already): its factors and arg Z at each.
 
-    The product moves a walk Z by a few 1e-15 from the exact exp (its
-    arg by up to about 1e-9 rad where |Z| > 1e-6), which can only matter
-    for the choice of 2 pi branch.
+    Row k = r^k, r = exp(i end phi / steps), is built by block doubling:
+    rows m + 1 .. m + k are rows 1 .. k times r^m.  The products move a
+    walk Z by a few 1e-15 from the exact exp (its arg by up to about 1e-9
+    rad where |Z| > 1e-6), which can only matter for the choice of 2 pi
+    branch.  A walk of one step has no inner point.
     """
-    steps = int(math.ceil(abs(end) * l1))
-    rows = np.empty((steps + 1, phi.size), dtype=complex)
-    rows[0] = 1.0
-    if steps:
-        rows[1:] = np.exp(1j * (end / steps * phi))
-        np.cumprod(rows, axis=0, out=rows)
-    return np.linspace(0.0, end, steps + 1), np.angle(rows @ wp)
+    steps = math.ceil(abs(end) * l1)
+    if steps < 2:
+        return np.empty(0), np.empty(0)
+    rows = np.empty((steps - 1, phi.size), dtype=complex)
+    rows[0] = np.exp(1j * (end / steps * phi))
+    m = 1
+    while m < steps - 1:
+        k = min(m, steps - 1 - m)
+        np.multiply(rows[:k], rows[m - 1], out=rows[m : m + k])
+        m += k
+    return np.arange(1, steps) * (end / steps), np.angle(rows @ wp)
 
 
 def _unwrap(s, principal, l1, phi, wp):
@@ -308,40 +317,44 @@ def _unwrap(s, principal, l1, phi, wp):
     amplitude l1 bounds |d arg / d s| up to the distribution's (u/v)^2
     reach, so ceil(|s| l1) steps keep each jump well under pi/2; steps
     that still jump too far (near visibility nulls) are bisected.  Every
-    requested factor lies on the path (tag = its entry).  Each side's
-    rows come by recurrence (see _walk_side); bisection midpoints keep
-    their exact exp.
+    factor of s lies on the path (requested), and so does factor 0 at
+    arg exactly 0 (the weights are real), once.  Each side walks only
+    its inner points, by recurrence (see _walk_side); bisection
+    midpoints keep their exact exp.
     """
     (lo, lo_args), (hi, hi_args) = (
         _walk_side(end, l1, phi, wp) for end in (min(s[0], 0.0), max(s[-1], 0.0))
     )
-    path = np.concatenate([lo, hi, s])
-    args = np.concatenate([lo_args, hi_args, principal])
-    tag = np.concatenate([np.full(lo.size + hi.size, -1), np.arange(s.size)])
+    path = np.concatenate([[0.0], lo, hi, s])
+    args = np.concatenate([[0.0], lo_args, hi_args, principal])
+    requested = np.arange(path.size) > lo.size + hi.size  # the entries of s
     for _ in range(_MAX_REFINE_PASSES):
-        order = np.argsort(path, kind="stable")
-        path, args, tag = path[order], args[order], tag[order]
-        walked = np.unwrap(args)
-        jumps = np.abs(np.diff(walked)) > _MAX_STEP_RAD
+        order = path.argsort(kind="stable")
+        path, args, requested = path[order], args[order], requested[order]
+        # each step between neighbours crosses the 2 pi branches that bring
+        # it nearest to 0; what is left of it must stay under pi/2
+        step = args[1:] - args[:-1]
+        turns = np.rint(step / _TWO_PI)
+        jumps = np.abs(step - _TWO_PI * turns) > _MAX_STEP_RAD
         if not jumps.any():
             break
         mids = 0.5 * (path[:-1][jumps] + path[1:][jumps])
         path = np.concatenate([path, mids])
         args = np.concatenate([args, np.angle(np.exp(1j * (mids[:, None] * phi)) @ wp)])
-        tag = np.concatenate([tag, np.full(mids.size, -1)])
+        requested = np.concatenate([requested, np.zeros(mids.size, dtype=bool)])
     else:
         raise QuadratureConvergenceError(
             "phase continuation did not stabilize; the averaged phase jumps by "
             "more than pi/2 at every refinement depth (visibility null too sharp)"
         )
-    # arg Z(0) = 0 anchors both sides of the walk
-    walked -= walked[np.searchsorted(path, 0.0)]
-    on_path = tag >= 0
-    unwrapped = np.empty(s.size)
-    unwrapped[tag[on_path]] = walked[on_path]
-    # continuation ends on the same grid, so it differs from the
-    # principal value by an exact multiple of 2 pi; snap it there
-    return principal + _TWO_PI * np.round((unwrapped - principal) / _TWO_PI)
+    # branches crossed from the start of the path, counted from factor 0
+    # (arg exactly 0, kept first among the zeros by the stable sort)
+    crossed = np.zeros(path.size)
+    turns.cumsum(out=crossed[1:])
+    crossed -= crossed[np.searchsorted(path, 0.0)]
+    # the principal value of an exactly computed row, on the walk's branch;
+    # s is sorted and distinct, so its factors lie on the path in its order
+    return principal - _TWO_PI * crossed[requested]
 
 
 def averaged_fringe(
@@ -413,8 +426,17 @@ def averaged_fringe(
             unwrapped = float(_unwrap(np.ones(1), np.array([phase]), l1, phi[:n], wp)[0])
         return FringeObservable(visibility=vis, phase=phase, phase_unwrapped=unwrapped)
 
-    # equal factors share one row, so they give bit-identical entries
-    s, inv = np.unique(scales, return_inverse=True)
+    # equal factors (0.0 and -0.0 too) share one row, so they give
+    # bit-identical entries: s holds the distinct factors in ascending
+    # order, scales[j] == s[inv[j]]
+    order = scales.argsort(kind="stable")
+    ascending = scales[order]
+    first = np.empty(ascending.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
+    s = ascending[first]
+    inv = np.empty_like(order)
+    inv[order] = first.cumsum() - 1
     rows = np.exp(1j * (s[:, None] * phi))
     z = rows[:, :n] @ wp
     # each entry is checked and reported as its plain call is, in input

@@ -20,6 +20,7 @@ hardware for a requested counterphase.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .beam import BeamModel
@@ -65,6 +66,9 @@ class DispersivePhaseTerm:
     exponent: int
 
     def __post_init__(self):
+        # 1.0 and True equal 1 but cannot index the powers of u/v
+        if isinstance(self.exponent, bool) or not isinstance(self.exponent, numbers.Integral):
+            raise ValueError(f"exponent must be an integer, got {self.exponent!r}")
         if self.exponent not in (0, 1, 2):
             raise ValueError(f"exponent must be 0, 1 or 2, got {self.exponent}")
         if not math.isfinite(self.amplitude_at_mean):

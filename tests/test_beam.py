@@ -78,6 +78,15 @@ def test_default_support_passthrough():
         default_support(b, width_sigmas=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_windows_are_refused(bad):
+    # an infinite edge passed 0 < v_min < v_max and gave NaN averages
+    with pytest.raises(ValueError, match="v_max < inf"):
+        VelocitySupport(v_min=900.0, v_max=bad)
+    with pytest.raises(ValueError, match="width_sigmas must be positive and finite"):
+        default_support(BeamModel(u=1065.7, s_parallel=7.67), width_sigmas=bad)
+
+
 @pytest.mark.parametrize(
     "vmin,vmax,n",
     [(0.0, 100.0, 257), (-5.0, 100.0, 257), (100.0, 100.0, 257), (50.0, 100.0, 2)],

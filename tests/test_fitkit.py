@@ -49,6 +49,25 @@ def test_observation_set_validation():
         af.ModelContext(0.0, SAG_AMP)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_context_and_start_are_refused_by_name(bad):
+    # each used to fail later with the message of a scales check
+    obs = zero_noise_observations()
+    with pytest.raises(ValueError, match="sagnac_amplitude_at_mean must be finite"):
+        dataclasses.replace(model_context(), sagnac_amplitude_at_mean=bad)
+    with pytest.raises(ValueError, match="initial coeff_per_U2 must be finite"):
+        af.fit(observation_set(obs), initial=(8.0, bad))
+    with pytest.raises(ValueError, match="initial s_parallel must be finite"):
+        af.fit(observation_set(obs), initial=(bad, C_TRUE))
+
+
+def test_an_infinite_window_is_refused():
+    # it used to give NaN averages and a fit that returned converged False
+    ctx = dataclasses.replace(model_context(), width_sigmas=math.inf)
+    with pytest.raises(ValueError, match="width_sigmas must be positive and finite"):
+        af.fit(af.ObservationSet(zero_noise_observations(), ctx))
+
+
 def test_predict_against_oracle():
     phase, ratio = af.predict(S_TRUE, C_TRUE, 250.0, model_context())
     assert phase == pytest.approx(PREDICT_250_PHASE, abs=1e-10)

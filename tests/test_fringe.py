@@ -373,6 +373,14 @@ def test_non_additivity_gap_shrinks_as_the_beam_narrows(s_par, a, b, exponents):
     assert abs(narrower) <= abs(gap) / 4.0 + 10.0 * af.QUADRATURE_TOL
 
 
+def test_a_nan_average_fails_the_check():
+    # |Z_n - Z_K| > tol is False for NaN, so the check must ask <= tol
+    nan = complex(math.nan, math.nan)
+    for unwrap in (True, False):
+        with pytest.raises(af.QuadratureConvergenceError, match="not converged"):
+            fringe._report(nan, nan, 257, unwrap)
+
+
 @settings(max_examples=24)
 @given(
     s_par=st.floats(6.0, 12.0),
@@ -397,3 +405,35 @@ def test_average_matches_the_independent_oracle(s_par, terms):
     assert abs(z - orc.complex_average(terms, beam.u, s_par, nodes=2_001)) <= tol
     want = orc.unwrapped_phase(terms, beam.u, s_par, nodes=20_001)
     assert abs(ob.phase_unwrapped - want) <= tol / ob.visibility
+
+
+@settings(max_examples=8)
+@given(
+    s_par=st.floats(6.0, 12.0),
+    terms=st.lists(
+        st.tuples(st.floats(-6.0, 6.0), st.sampled_from([0, 1, 2])),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[1],  # one term per exponent: its net amplitude
+    ),
+    factors=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=3),
+    near=st.floats(-1.0, 1.0),
+)
+# S = 8: the walk to factor 1 runs into a deep null and bisects
+@example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], factors=[1.0], near=0.5)
+def test_curve_matches_the_independent_oracle_at_every_factor(s_par, terms, factors, near):
+    # both zeros, a repeated factor and one within a walk step of 0 (the
+    # walk bound is the sum of the net amplitudes) share the curve's walk
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    l1 = sum(abs(a) for a, _ in terms)
+    scales = [*factors, 0.0, -0.0, factors[0], near / max(l1, 1.0)]
+    try:
+        curve = af.averaged_fringe([T(a, e) for a, e in terms], beam, scales=scales)
+    except af.QuadratureConvergenceError:
+        return  # the documented diagnostic; any other error fails the test
+    want = {}
+    for f, vis, got in zip(scales, curve.visibility, curve.phase_unwrapped):
+        if f not in want:  # 0.0 == -0.0: one oracle walk
+            scaled = [(f * a, e) for a, e in terms]
+            want[f] = orc.unwrapped_phase(scaled, beam.u, s_par, nodes=20_001)
+        assert abs(got - want[f]) <= 10.0 * af.QUADRATURE_TOL / vis, f

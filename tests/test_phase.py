@@ -27,6 +27,19 @@ def test_term_validation():
     assert (t.amplitude_at_mean, t.exponent) == (-4.5, 2)
 
 
+@pytest.mark.parametrize("exponent", [1.0, True, np.float64(2.0), np.bool_(False)])
+def test_term_exponent_must_be_an_integer(exponent):
+    # each equals an allowed exponent, but none can index the powers of u/v
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        af.DispersivePhaseTerm(amplitude_at_mean=1.0, exponent=exponent)
+
+
+def test_numpy_integer_exponents_are_accepted():
+    terms = [af.DispersivePhaseTerm(-3.0, np.int64(1)), af.DispersivePhaseTerm(2.0, np.int32(2))]
+    plain = [af.DispersivePhaseTerm(-3.0, 1), af.DispersivePhaseTerm(2.0, 2)]
+    assert af.averaged_fringe(terms, BEAM) == af.averaged_fringe(plain, BEAM)
+
+
 def test_grating_wavevector_doubles_laser():
     assert GEO.k_grating == pytest.approx(2.0 * GEO.k_laser, rel=1e-15)
 
