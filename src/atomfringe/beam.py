@@ -92,7 +92,7 @@ def velocity_pdf(beam: BeamModel, v):
     the density is evaluated as written (no flux or v^3 weighting).
     """
     v = np.asarray(v, dtype=float)
-    if (v <= 0.0).any():
+    if not (v > 0.0).all():  # NaN too
         raise ValueError("velocity samples must be positive")
     s_over_u = beam.s_parallel / beam.u
     out = (s_over_u / math.sqrt(math.pi)) * np.exp(-(((v - beam.u) * s_over_u) ** 2))

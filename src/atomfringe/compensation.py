@@ -21,6 +21,7 @@ import numpy as np
 from .beam import BeamModel, VelocitySupport
 from .fringe import averaged_fringe
 from .phase import (
+    CapacitorModel,
     DispersivePhaseTerm,
     InterferometerGeometry,
     MirrorMotion,
@@ -136,25 +137,29 @@ def extract_alpha_compensated(
     motion: MirrorMotion,
     geometry: InterferometerGeometry,
     u: float,
-    geometry_factor_G: float,
+    capacitor: CapacitorModel,
     voltage_U: float = 1.0,
 ) -> float:
     """Polarizability volume from a compensated measurement, m^3.
 
-    Solves (2 pi eps0 alpha / hbar) G U^2 = 2 k_laser (v1 - v3) L
-    + u * residual for alpha.  With the counterphase tuned, the residual
-    term is tiny, so the beam velocity u multiplies almost nothing: a
-    percent-level error on u moves alpha by parts in 1e5 or less.
-    voltage_U defaults to 1 for the G-normalized (per-volt-squared)
-    form.
+    The residual is the averaged phase of pol + counter, and the pol
+    amplitude at the mean velocity is sign (2 pi eps0 alpha / hbar) G U^2
+    / u with the capacitor's arm sign, so this solves
+    (2 pi eps0 alpha / hbar) G U^2 = sign (u * residual
+    - 2 k_laser (v1 - v3) L) for alpha.  With the counterphase tuned, the
+    residual term is tiny, so the beam velocity u multiplies almost
+    nothing: a percent-level error on u moves alpha by parts in 1e5 or
+    less.  A counter mistuned by a fraction delta moves alpha by about
+    -delta (<u/v> - 1), near -delta / (2 S^2), relative.  voltage_U
+    defaults to 1 for the G-normalized (per-volt-squared) form.
     """
     if voltage_U == 0.0:
         raise ValueError("voltage must be nonzero to normalize the extraction")
-    total = (
-        2.0
+    total = capacitor.sign * (
+        u * measured_residual
+        - 2.0
         * geometry.k_laser
         * (motion.v1 - motion.v3)
         * geometry.grating_separation_L
-        + u * measured_residual
     )
-    return alpha_from_coefficient(total / voltage_U**2, geometry_factor_G, 1.0)
+    return alpha_from_coefficient(total / voltage_U**2, capacitor.geometry_factor_G, 1.0)

@@ -33,15 +33,22 @@ per (beam, support) and cached; a call without a support finds the
 default window's nodes under the key (beam, None).
 
 A plain call (no ``scales``) is one row exp(i phi) on the 2n + 1 nodes
-and its two sums, Z and Z_K.  These become Python complex numbers, and
-everything after them is scalar work: the check above (and, with
-unwrap, the test that |Z_K - Z| is small against |Z|, without which
-arg Z is noise), visibility = abs(Z), the principal phase, and nan or
-the tuned-null shortcut for phase_unwrapped; a plain call that needs a
-walk takes the curves' walk at the one factor 1.  A curve checks and
-reports each entry through the same function, in input order, so an
-entry at factor 1 is bit-identical to the plain call and the first
-failing entry raises the plain call's error.
+and its two sums, Z and Z_K, each one np.dot.  These become Python
+complex numbers, and everything after them is scalar work: the check
+above (and, with unwrap, the test that |Z_K - Z| is small against |Z|,
+without which arg Z is noise), visibility = abs(Z), the principal
+phase, and nan or the tuned-null shortcut for phase_unwrapped; a plain
+call that needs a walk takes the curves' walk at the one factor 1.  One
+private function does all of this and returns the three numbers as
+Python floats: averaged_fringe wraps them in a FringeObservable, and
+visibility_ratio returns the first and builds no observable.  A curve
+checks and reports each entry through the plain call's scalar check and
+report, in input order, so an entry at factor 1 is bit-identical to the
+plain call and the first failing entry raises the plain call's error.
+Every exactly computed row (plain, curve, the walk's first row and the
+bisection midpoints) is built one way: the phase is written into the
+imaginary part of a zeroed complex buffer, which is exponentiated in
+place, so no 1j * phi temporary is made.
 
 Phases beyond the principal branch are recovered by continuation: the
 whole term list is scaled from 0 to its factor in steps small enough
@@ -198,6 +205,19 @@ def _kronrod(n: int):
 
 
 @lru_cache(maxsize=64)
+def _gauss_kronrod(n: int):
+    """Read-only (x, w, w_K) of the 2n + 1 node grid on [-1, 1], the n Gauss
+    nodes first: the abscissae, the n-node Gauss-Legendre weights and the
+    Kronrod weights on all nodes."""
+    x, w = _leggauss(n)
+    w_gauss, x_kronrod, w_kronrod = _kronrod(n)
+    grid = (np.concatenate([x, x_kronrod]), w, np.concatenate([w_gauss, w_kronrod]))
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
+@lru_cache(maxsize=64)
 def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
     """Read-only arrays on the 2n + 1 nodes v of the Gauss-Kronrod grid,
     the n Gauss nodes first: (powers, w P, w_K P, d ln P / d S), where
@@ -221,11 +241,10 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
             "about 4.25 the 1e-3 u floor of the window cuts the beam)"
         )
     n = support.node_count
-    x, w = _leggauss(n)
-    w_gauss, x_kronrod, w_kronrod = _kronrod(n)
+    x, w, w_kronrod = _gauss_kronrod(n)
     half = 0.5 * (support.v_max - support.v_min)
     mid = 0.5 * (support.v_max + support.v_min)
-    v = mid + half * np.concatenate([x, x_kronrod])
+    v = mid + half * x
     # the density on the Gauss nodes as an array of its own, as the n-node
     # rule alone computes it, so that w P cannot depend on the new nodes
     pdf = np.concatenate([velocity_pdf(beam, v[:n]), velocity_pdf(beam, v[n:])])
@@ -241,7 +260,7 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
     nodes = (
         powers,
         (half * w * pdf[:n]).astype(complex),
-        (half * np.concatenate([w_gauss, w_kronrod]) * pdf).astype(complex),
+        (half * w_kronrod * pdf).astype(complex),
         dlogp,
     )
     for a in nodes:
@@ -249,14 +268,31 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
     return nodes
 
 
-def _phase_profile(net, powers):
-    """phi = sum_e net_e (u/v)^e on every node (0 for no terms)."""
+def _phase_profile(terms, beam, support):
+    """The one pass over terms: (l1, phi, w P, w_K P, d ln P / d S), where
+    phi = sum_e net_e (u/v)^e on every node (0 for no terms), l1 =
+    sum_e |net_e| and the rest is _weighted_nodes(beam, support)."""
+    net = {}
+    for t in terms:
+        net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
+    # bounds the averaged polynomial itself; 0 at a tuned null (no walk)
+    l1 = float(sum(map(abs, net.values())))
+    powers, wp, wkp, dlogp = _weighted_nodes(beam, support)
     items = iter(net.items())
     exponent, amplitude = next(items, (0, 0.0))
     phi = amplitude * powers[exponent]
     for exponent, amplitude in items:
         phi += amplitude * powers[exponent]
-    return phi
+    return l1, phi, wp, wkp, dlogp
+
+
+def _exp_i(phase):
+    """exp(i phase) elementwise, for every exactly computed row: the phase
+    goes into the imaginary part of a zeroed complex buffer, which is
+    exponentiated in place, so no 1j * phase temporary is made."""
+    rows = np.zeros(phase.shape, dtype=complex)
+    rows.imag = phase
+    return np.exp(rows, out=rows)
 
 
 def _report(z: complex, zk: complex, n: int, unwrap: bool):
@@ -300,7 +336,7 @@ def _walk_side(end, l1, phi, wp):
     if steps < 2:
         return np.empty(0), np.empty(0)
     rows = np.empty((steps - 1, phi.size), dtype=complex)
-    rows[0] = np.exp(1j * (end / steps * phi))
+    rows[0] = _exp_i(end / steps * phi)
     m = 1
     while m < steps - 1:
         k = min(m, steps - 1 - m)
@@ -340,7 +376,7 @@ def _unwrap(s, principal, l1, phi, wp):
             break
         mids = 0.5 * (path[:-1][jumps] + path[1:][jumps])
         path = np.concatenate([path, mids])
-        args = np.concatenate([args, np.angle(np.exp(1j * (mids[:, None] * phi)) @ wp)])
+        args = np.concatenate([args, np.angle(_exp_i(mids[:, None] * phi) @ wp)])
         requested = np.concatenate([requested, np.zeros(mids.size, dtype=bool)])
     else:
         raise QuadratureConvergenceError(
@@ -355,6 +391,21 @@ def _unwrap(s, principal, l1, phi, wp):
     # the principal value of an exactly computed row, on the walk's branch;
     # s is sorted and distinct, so its factors lie on the path in its order
     return principal - _TWO_PI * crossed[requested]
+
+
+def _plain(terms, beam, support, unwrap):
+    """(visibility, phase, phase_unwrapped) of averaged_fringe without
+    scales, as Python floats: one exact row on the 2n + 1 nodes, its sums
+    Z and Z_K, the report and, with unwrap, the walk at the one factor 1."""
+    l1, phi, wp, wkp, _ = _phase_profile(terms, beam, support)
+    n = wp.size
+    row = _exp_i(phi)
+    vis, phase = _report(complex(np.dot(row[:n], wp)), complex(np.dot(row, wkp)), n, unwrap)
+    if not unwrap:
+        return vis, phase, math.nan
+    if l1 == 0.0:
+        return vis, phase, phase
+    return vis, phase, float(_unwrap(np.ones(1), np.array([phase]), l1, phi[:n], wp)[0])
 
 
 def averaged_fringe(
@@ -400,31 +451,13 @@ def averaged_fringe(
         continuation cannot track the phase through a visibility null.  With scales, the
         first failing entry in input order is reported.
     """
-    if scales is not None:
-        scales = np.asarray(scales, dtype=float)
-        if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
-            raise ValueError("scales must be a non-empty sequence of finite numbers")
-
-    # the one pass over terms: the rows, the check and the walk bound use net
-    net = {}
-    for t in terms:
-        net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
-    # bounds the averaged polynomial itself; 0 at a tuned null (no walk)
-    l1 = float(sum(map(abs, net.values())))
-    powers, wp, wkp, dlogp = _weighted_nodes(beam, support)
-    n = wp.size
-    phi = _phase_profile(net, powers)
-
     if scales is None:
-        rows = np.exp(1j * phi)
-        vis, phase = _report(complex(rows[:n] @ wp), complex(rows @ wkp), n, unwrap)
-        if not unwrap:
-            unwrapped = math.nan
-        elif l1 == 0.0:
-            unwrapped = phase
-        else:
-            unwrapped = float(_unwrap(np.ones(1), np.array([phase]), l1, phi[:n], wp)[0])
-        return FringeObservable(visibility=vis, phase=phase, phase_unwrapped=unwrapped)
+        return FringeObservable(*_plain(terms, beam, support, unwrap))
+    scales = np.asarray(scales, dtype=float)
+    if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
+        raise ValueError("scales must be a non-empty sequence of finite numbers")
+    l1, phi, wp, wkp, dlogp = _phase_profile(terms, beam, support)
+    n = wp.size
 
     # equal factors (0.0 and -0.0 too) share one row, so they give
     # bit-identical entries: s holds the distinct factors in ascending
@@ -437,7 +470,7 @@ def averaged_fringe(
     s = ascending[first]
     inv = np.empty_like(order)
     inv[order] = first.cumsum() - 1
-    rows = np.exp(1j * (s[:, None] * phi))
+    rows = _exp_i(s[:, None] * phi)
     z = rows[:, :n] @ wp
     # each entry is checked and reported as its plain call is, in input
     # order, so the first failing entry raises
@@ -501,7 +534,12 @@ def visibility_ratio(
     beam: BeamModel,
     support: VelocitySupport | None = None,
 ) -> float:
-    """Averaged visibility relative to the zero-dispersion visibility, |Z|."""
+    """Averaged visibility relative to the zero-dispersion visibility, |Z|.
+
+    The visibility of averaged_fringe(terms, beam, support, unwrap=False),
+    bit for bit, or the same QuadratureConvergenceError; it is taken from
+    the plain call's scalar report without building a FringeObservable.
+    """
     # |Z| needs no unwrap, so this stays usable past the point where
     # the continuous phase drowns in the quadrature floor
-    return averaged_fringe(terms, beam, support, unwrap=False).visibility
+    return _plain(terms, beam, support, False)[0]

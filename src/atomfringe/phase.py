@@ -66,8 +66,12 @@ class DispersivePhaseTerm:
     exponent: int
 
     def __post_init__(self):
-        # 1.0 and True equal 1 but cannot index the powers of u/v
-        if isinstance(self.exponent, bool) or not isinstance(self.exponent, numbers.Integral):
+        # 1.0 and True equal 1 but cannot index the powers of u/v; an exact
+        # int skips the slower abstract-class check
+        exponent = self.exponent
+        if type(exponent) is not int and (
+            isinstance(exponent, bool) or not isinstance(exponent, numbers.Integral)
+        ):
             raise ValueError(f"exponent must be an integer, got {self.exponent!r}")
         if self.exponent not in (0, 1, 2):
             raise ValueError(f"exponent must be 0, 1 or 2, got {self.exponent}")

@@ -150,7 +150,7 @@ def test_criterion_10_alpha_extraction():
         plan.motion,
         GEO,
         BEAM.u,
-        CAP.geometry_factor_G,
+        CAP,
         voltage_U=voltage,
     )
     assert got == pytest.approx(ALPHA_TRUE, rel=1e-9)
@@ -159,9 +159,9 @@ def test_criterion_10_alpha_extraction():
     plan100 = af.tune_counterphase(T(-100.0), BEAM, GEO)
     residual = 1e-3
     base = af.extract_alpha_compensated(
-        residual, plan100.motion, GEO, BEAM.u, CAP.geometry_factor_G
+        residual, plan100.motion, GEO, BEAM.u, CAP
     )
     off = af.extract_alpha_compensated(
-        residual, plan100.motion, GEO, 1.01 * BEAM.u, CAP.geometry_factor_G
+        residual, plan100.motion, GEO, 1.01 * BEAM.u, CAP
     )
     assert abs(off - base) / base <= 1e-5

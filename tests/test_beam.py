@@ -44,6 +44,11 @@ def test_pdf_rejects_nonpositive_velocity():
         velocity_pdf(b, 0.0)
     with pytest.raises(ValueError):
         velocity_pdf(b, np.array([500.0, -1.0]))
+    # NaN is no positive velocity either
+    with pytest.raises(ValueError, match="velocity samples must be positive"):
+        velocity_pdf(b, math.nan)
+    with pytest.raises(ValueError, match="velocity samples must be positive"):
+        velocity_pdf(b, np.array([500.0, math.nan]))
 
 
 def test_pdf_scalar_and_array_shapes():

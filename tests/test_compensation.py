@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import atomfringe as af
-from _support import BEAM, CAP, GEO
+from _support import ALPHA_TRUE, BEAM, CAP, GEO
 
 T = lambda a, e=1: af.DispersivePhaseTerm(amplitude_at_mean=a, exponent=e)
 
@@ -159,7 +159,7 @@ def test_alpha_round_trip_at_null():
         plan.motion,
         GEO,
         BEAM.u,
-        CAP.geometry_factor_G,
+        CAP,
         voltage_U=voltage,
     )
     assert got == pytest.approx(alpha_seed, rel=1e-9)
@@ -170,19 +170,45 @@ def test_alpha_insensitive_to_beam_velocity_error():
     plan = af.tune_counterphase(T(-100.0), BEAM, GEO)
     residual = 1e-3
     base = af.extract_alpha_compensated(
-        residual, plan.motion, GEO, BEAM.u, CAP.geometry_factor_G
+        residual, plan.motion, GEO, BEAM.u, CAP
     )
     off = af.extract_alpha_compensated(
-        residual, plan.motion, GEO, 1.01 * BEAM.u, CAP.geometry_factor_G
+        residual, plan.motion, GEO, 1.01 * BEAM.u, CAP
     )
     assert abs(off - base) / base <= 1e-5
+
+
+@settings(max_examples=60)
+@given(
+    arm_sign=st.sampled_from([-1, 1]),
+    s_par=st.floats(6.0, 12.0),
+    voltage=st.floats(20.0, 500.0),
+    mistune=st.floats(-1.0, 1.0),
+)
+@example(arm_sign=-1, s_par=7.67, voltage=400.0, mistune=0.2221)  # delta about +1e-2
+@example(arm_sign=1, s_par=7.67, voltage=400.0, mistune=0.0)  # exact null
+def test_alpha_from_a_mistuned_counter(arm_sign, s_par, voltage, mistune):
+    # the counter is set to (1 + delta) times the tuned amplitude; the
+    # averaged residual of pol + counter then moves alpha by about
+    # -delta (<u/v> - 1), near -delta / (2 S^2), on either arm
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    cap = af.CapacitorModel(geometry_factor_G=CAP.geometry_factor_G, sign=arm_sign)
+    pol = af.polarizability_term(cap, ALPHA_TRUE, voltage, beam)
+    delta = mistune * min(5e-2, 1.0 / abs(pol.amplitude_at_mean))
+    counter = -pol.amplitude_at_mean * (1.0 + delta)
+    motion = af.required_mirror_velocity(GEO, counter, beam.u)
+    residual = af.averaged_fringe([pol, T(counter)], beam).phase_unwrapped
+    got = af.extract_alpha_compensated(residual, motion, GEO, beam.u, cap, voltage_U=voltage)
+    # 1e-12: rounding of the mirror velocities at delta = 0
+    assert abs(got / ALPHA_TRUE - 1.0) <= abs(delta) / s_par**2 + 1e-12
 
 
 def test_alpha_extraction_validation():
     plan = af.tune_counterphase(T(-100.0), BEAM, GEO)
     with pytest.raises(ValueError):
-        af.extract_alpha_compensated(0.0, plan.motion, GEO, BEAM.u, 0.0)
-    with pytest.raises(ValueError):
+        # a zero geometry factor cannot reach the extraction
         af.extract_alpha_compensated(
-            0.0, plan.motion, GEO, BEAM.u, CAP.geometry_factor_G, voltage_U=0.0
+            0.0, plan.motion, GEO, BEAM.u, af.CapacitorModel(geometry_factor_G=0.0)
         )
+    with pytest.raises(ValueError):
+        af.extract_alpha_compensated(0.0, plan.motion, GEO, BEAM.u, CAP, voltage_U=0.0)

@@ -306,6 +306,10 @@ def test_plain_call_is_the_curve_at_factor_one(s_par, terms, unwrap):
     terms = [T(a, e) for a, e in terms]
     plain = outcome(lambda: af.averaged_fringe(terms, beam, unwrap=unwrap))
     curve = outcome(lambda: af.averaged_fringe(terms, beam, unwrap=unwrap, scales=[1.0]))
+    if not unwrap:
+        # visibility_ratio takes the plain call's report without its observable
+        ratio = outcome(lambda: af.visibility_ratio(terms, beam))
+        assert ratio == (plain if isinstance(plain, str) else plain.visibility)
     if isinstance(plain, str) or isinstance(curve, str):
         assert plain == curve
         return
