@@ -40,8 +40,8 @@ without which arg Z is noise), visibility = abs(Z), the principal
 phase, and nan or the tuned-null shortcut for phase_unwrapped; a plain
 call that needs a walk takes the curves' walk at the one factor 1.  One
 private function does all of this and returns the three numbers as
-Python floats: averaged_fringe wraps them in a FringeObservable, and
-visibility_ratio returns the first and builds no observable.  A curve
+Python floats, which averaged_fringe wraps in a FringeObservable;
+visibility_ratio reads the visibility of that observable.  A curve
 checks and reports each entry through the plain call's scalar check and
 report, in input order, so an entry at factor 1 is bit-identical to the
 plain call and the first failing entry raises the plain call's error.
@@ -149,9 +149,10 @@ def _leggauss(n: int):
 @lru_cache(maxsize=64)
 def _kronrod(n: int):
     """Read-only Kronrod extension of the n-node Gauss-Legendre rule on
-    [-1, 1]: (weights at the n Gauss nodes of _leggauss(n), the n + 1
-    Kronrod nodes, their weights), by Laurie's algorithm (Math. Comp.
-    66:1133, 1997) for the Legendre weight.
+    [-1, 1]: (the 2n + 1 abscissae, the n Gauss nodes of _leggauss(n)
+    first, then the n + 1 Kronrod nodes; the Kronrod weights on all of
+    them), by Laurie's algorithm (Math. Comp. 66:1133, 1997) for the
+    Legendre weight.
     """
     # the Jacobi-Kronrod matrix has a zero diagonal (the weight is even)
     # and off-diagonal sqrt(b_k), k = 1 .. 2n; b_0 = 2 is the mass and
@@ -198,23 +199,9 @@ def _kronrod(n: int):
         p_prev, p = p, (x * p - beta[k - 1] * p_prev) / beta[k]
         norm2 += p * p
     w = b[0] / norm2
-    rule = (w[:n], x_kronrod, w[n:])
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
-@lru_cache(maxsize=64)
-def _gauss_kronrod(n: int):
-    """Read-only (x, w, w_K) of the 2n + 1 node grid on [-1, 1], the n Gauss
-    nodes first: the abscissae, the n-node Gauss-Legendre weights and the
-    Kronrod weights on all nodes."""
-    x, w = _leggauss(n)
-    w_gauss, x_kronrod, w_kronrod = _kronrod(n)
-    grid = (np.concatenate([x, x_kronrod]), w, np.concatenate([w_gauss, w_kronrod]))
-    for a in grid:
-        a.setflags(write=False)
-    return grid
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @lru_cache(maxsize=64)
@@ -241,7 +228,8 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
             "about 4.25 the 1e-3 u floor of the window cuts the beam)"
         )
     n = support.node_count
-    x, w, w_kronrod = _gauss_kronrod(n)
+    w = _leggauss(n)[1]
+    x, w_kronrod = _kronrod(n)
     half = 0.5 * (support.v_max - support.v_min)
     mid = 0.5 * (support.v_max + support.v_min)
     v = mid + half * x
@@ -534,12 +522,7 @@ def visibility_ratio(
     beam: BeamModel,
     support: VelocitySupport | None = None,
 ) -> float:
-    """Averaged visibility relative to the zero-dispersion visibility, |Z|.
-
-    The visibility of averaged_fringe(terms, beam, support, unwrap=False),
-    bit for bit, or the same QuadratureConvergenceError; it is taken from
-    the plain call's scalar report without building a FringeObservable.
-    """
+    """Averaged visibility relative to the zero-dispersion visibility, |Z|."""
     # |Z| needs no unwrap, so this stays usable past the point where
     # the continuous phase drowns in the quadrature floor
-    return _plain(terms, beam, support, False)[0]
+    return averaged_fringe(terms, beam, support, unwrap=False).visibility

@@ -183,10 +183,9 @@ def test_kronrod_rule(n):
     # the (2n + 1)-node rule of the convergence check, built afresh (the
     # suite turns the RuntimeWarning of an underflowing build into an
     # error, and Laurie's moments underflow above n = 540 unless rescaled)
-    w_gauss, x_kronrod, w_kronrod = fringe._kronrod.__wrapped__(n)
+    x, w = fringe._kronrod.__wrapped__(n)
     x_gauss = fringe._leggauss(n)[0]
-    x = np.concatenate([x_gauss, x_kronrod])
-    w = np.concatenate([w_gauss, w_kronrod])
+    assert np.array_equal(x[:n], x_gauss)
     order = np.argsort(x)
     x, w = x[order], w[order]
     assert x.size == 2 * n + 1
@@ -307,7 +306,7 @@ def test_plain_call_is_the_curve_at_factor_one(s_par, terms, unwrap):
     plain = outcome(lambda: af.averaged_fringe(terms, beam, unwrap=unwrap))
     curve = outcome(lambda: af.averaged_fringe(terms, beam, unwrap=unwrap, scales=[1.0]))
     if not unwrap:
-        # visibility_ratio takes the plain call's report without its observable
+        # visibility_ratio is the plain call's visibility, or its error
         ratio = outcome(lambda: af.visibility_ratio(terms, beam))
         assert ratio == (plain if isinstance(plain, str) else plain.visibility)
     if isinstance(plain, str) or isinstance(curve, str):
