@@ -23,7 +23,6 @@ from .fitkit import (
     fit,
     model_curve,
     parameter_uncertainties,
-    predict,
 )
 from .fringe import (
     QUADRATURE_TOL,
@@ -31,7 +30,6 @@ from .fringe import (
     FringeObservable,
     QuadratureConvergenceError,
     averaged_fringe,
-    measured_phase_shift,
     non_additivity_gap,
     visibility_ratio,
 )

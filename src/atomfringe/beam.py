@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_WIDTH_SIGMAS",
     "DEFAULT_NODE_COUNT",
+    "MAX_NODE_COUNT",
     "BeamModel",
     "VelocitySupport",
     "velocity_pdf",
@@ -32,6 +33,10 @@ __all__ = [
 # used wherever a run does not set its own
 DEFAULT_WIDTH_SIGMAS = 8.0
 DEFAULT_NODE_COUNT = 257
+# the largest order whose Gauss-Kronrod check (Laurie's algorithm) is
+# tested; its moments spread by about 4^(n/2), and from n = 1042 on the
+# rule it builds in double precision is wrong or fails to build
+MAX_NODE_COUNT = 1025
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,8 @@ class BeamModel:
 class VelocitySupport:
     """Truncated integration window for velocity averages.
 
-    node_count is the Gauss-Legendre order used on [v_min, v_max].
+    node_count is the Gauss-Legendre order used on [v_min, v_max],
+    3 to MAX_NODE_COUNT.
     """
 
     v_min: float
@@ -83,6 +89,10 @@ class VelocitySupport:
             )
         if self.node_count < 3:
             raise ValueError(f"node_count must be at least 3, got {self.node_count}")
+        if self.node_count > MAX_NODE_COUNT:
+            raise ValueError(
+                f"node_count must be at most {MAX_NODE_COUNT}, got {self.node_count}"
+            )
 
 
 def velocity_pdf(beam: BeamModel, v):

@@ -34,6 +34,7 @@ import numpy as np
 from .beam import (
     DEFAULT_NODE_COUNT,
     DEFAULT_WIDTH_SIGMAS,
+    MAX_NODE_COUNT,
     BeamModel,
     VelocitySupport,
     default_support,
@@ -92,7 +93,7 @@ class RunConfig:
     capacitor: CapacitorModel
     beam: BeamModel
     alpha_m3: float | None = None
-    prism: PrismGeometry = PrismGeometry(refractive_index_n=1.46)
+    prism: PrismGeometry = PrismGeometry()
     width_sigmas: float = DEFAULT_WIDTH_SIGMAS
     node_count: int = DEFAULT_NODE_COUNT
     include_sagnac: bool = True
@@ -176,7 +177,7 @@ SCHEMA = {
         (None, "rng_seed", "integer", {"least": 0}, RunConfig.rng_seed),
         # the averaging and fit keys are RunConfig field names
         ("averaging", "width_sigmas", "number", {"above": 0}, RunConfig.width_sigmas),
-        ("averaging", "node_count", "integer", {"least": 3}, RunConfig.node_count),
+        ("averaging", "node_count", "integer", {"least": 3, "most": MAX_NODE_COUNT}, RunConfig.node_count),
         ("fit", "include_sagnac", "bool", {}, RunConfig.include_sagnac),
         ("fit", "max_iterations", "integer", {"least": 1}, RunConfig.max_iterations),
         ("fit", "chi2_scaling", "bool", {}, RunConfig.chi2_scaling),
@@ -516,7 +517,6 @@ def _cmd_fit(args) -> int:
         sigma_s, sigma_coeff = parameter_uncertainties(result)
     else:
         sigma_s = sigma_coeff = None
-    dof = 2 * len(observations) - 2
     payload = {
         "s_parallel": result.s_parallel,
         "coeff_per_U2": result.coeff_per_U2,
@@ -524,7 +524,8 @@ def _cmd_fit(args) -> int:
         "sigma_coeff_per_U2": sigma_coeff,
         "covariance": [list(map(float, row)) for row in result.covariance],
         "chi_square": result.chi_square,
-        "reduced_chi_square": result.chi_square / dof if dof > 0 else None,
+        # ObservationSet holds at least 3 points: 4 or more degrees of freedom
+        "reduced_chi_square": result.chi_square / (2 * len(observations) - 2),
         "n_observations": len(observations),
         "converged": result.converged,
         "iterations": result.iterations,

@@ -76,9 +76,9 @@ def tune_counterphase(
     beam: BeamModel,
     geometry: InterferometerGeometry,
     *,
-    prism: PrismGeometry = PrismGeometry(refractive_index_n=1.46),
+    prism: PrismGeometry = PrismGeometry(),
     support: VelocitySupport | None = None,
-    max_travel: float = 20e-6,
+    max_travel: float = MirrorMotion.max_travel,
 ) -> CompensationPlan:
     """Null the averaged total phase with a mirror-motion counterphase.
 
@@ -153,6 +153,12 @@ def extract_alpha_compensated(
     -delta (<u/v> - 1), near -delta / (2 S^2), relative.  voltage_U
     defaults to 1 for the G-normalized (per-volt-squared) form.
     """
+    if not math.isfinite(measured_residual):
+        raise ValueError(f"measured_residual must be finite, got {measured_residual}")
+    if not 0.0 < u < math.inf:
+        raise ValueError(f"u must be positive and finite, got {u}")
+    if not math.isfinite(voltage_U):
+        raise ValueError(f"voltage_U must be finite, got {voltage_U}")
     if voltage_U == 0.0:
         raise ValueError("voltage must be nonzero to normalize the extraction")
     total = capacitor.sign * (

@@ -6,7 +6,8 @@ normalized to its zero-voltage value.  Both observables depend on just
 two parameters once the mean velocity and the rotation phase are fixed
 externally: the parallel speed ratio s_parallel and the Stark
 coefficient coeff_per_U2 (rad/V^2, quadratic in voltage, u/v velocity
-scaling, negative arm sign).
+scaling, negative arm sign).  model_curve gives both at any voltages,
+one voltage being a one-entry curve.
 
 fit() minimizes
 
@@ -46,7 +47,6 @@ __all__ = [
     "ObservationSet",
     "ModelContext",
     "FitResult",
-    "predict",
     "model_curve",
     "fit",
     "parameter_uncertainties",
@@ -180,26 +180,17 @@ def model_curve(s_parallel, coeff_per_U2, voltages, context: ModelContext):
     return phases, ratios
 
 
-def predict(s_parallel, coeff_per_U2, voltage_U, context: ModelContext):
-    """Model (phase, vis_ratio) at one voltage in the given context."""
-    if not s_parallel > 1.0:
-        raise ValueError(f"s_parallel must exceed 1, got {s_parallel}")
-    phases, ratios = model_curve(s_parallel, coeff_per_U2, (voltage_U,), context)
-    return float(phases[0]), float(ratios[0])
-
-
 def _default_initial(obs_set: ObservationSet) -> tuple[float, float]:
     """Heuristic start: s_parallel = 8, coeff from the smallest voltages.
 
     The coefficient seed is the origin-constrained least-squares slope
-    of -phase against U^2 over the three smallest nonzero voltages.
+    of -phase against U^2 over the three smallest nonzero voltages (the
+    voltages are distinct, so at least two of them are nonzero).
     """
     nonzero = sorted(
         (o for o in obs_set.observations if o.voltage_U != 0.0),
         key=lambda o: abs(o.voltage_U),
     )[:3]
-    if not nonzero:
-        raise ValueError("cannot seed the coefficient: all voltages are zero")
     u2 = np.array([o.voltage_U**2 for o in nonzero])
     ph = np.array([o.phase_meas for o in nonzero])
     coeff0 = float(-(u2 @ ph) / (u2 @ u2))
@@ -319,9 +310,8 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         raise FitError(
             "singular normal matrix at the optimum; covariance undefined"
         ) from exc
-    m = r.size
-    if chi2_scaling and m > 2:
-        cov_x = cov_x * (cost / (m - 2))
+    if chi2_scaling:  # r holds 2 entries per observation, so r.size >= 6
+        cov_x = cov_x * (cost / (r.size - 2))
     cov = np.diag(scale) @ cov_x @ np.diag(scale)
     cov = 0.5 * (cov + cov.T)
 

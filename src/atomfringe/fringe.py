@@ -12,24 +12,27 @@ of the complex average
 
 so visibility = |Z| and phase = arg Z.  This average is nonlinear: the
 phase of a combined term list is not the sum of the individually
-averaged phases, and a large dispersive phase destroys the contrast.
+averaged phases (non_additivity_gap), and a large dispersive phase
+destroys the contrast.  A measured phase shift, perturbation on minus
+off, is the difference of two averages' phase_unwrapped.
 
 Integration is fixed-node Gauss-Legendre on the truncated support from
 the beam module.  Every reported average is checked against the
 Gauss-Kronrod (2n + 1 nodes) extension of its n-node rule, which reuses
 the n Gauss nodes and adds n + 1 (Laurie's algorithm); if the two
 complex values differ by more than QUADRATURE_TOL the result is not
-trusted and QuadratureConvergenceError is raised (raise node_count in
-that case).  The density is not renormalised on the window, so a
-visibility carries the quadrature's mass error (at most 1e-12 on the
-default 8-sigma window when it is not clamped at 1e-3 u) and may read
-above 1 by that much.  A window that leaves more than
-QUADRATURE_TOL of the beam's Gaussian mass outside (speed ratios below
-about 4.25 at the default width, or width_sigmas below about 6.1)
+trusted and QuadratureConvergenceError is raised (raise node_count, up
+to beam.MAX_NODE_COUNT, in that case).  The density is not renormalised
+on the window, so a visibility carries the quadrature's mass error (at
+most 1e-12 on the default 8-sigma window when it is not clamped at
+1e-3 u) and may read above 1 by that much.  A window that leaves more
+than QUADRATURE_TOL of the beam's Gaussian mass outside (speed ratios
+below about 4.25 at the default width, or width_sigmas below about 6.1)
 raises QuadratureConvergenceError instead of reporting that mass as
-lost visibility.  The 2n + 1 nodes, with the density folded into both
-rules' weights and the powers of u/v evaluated on them, are built once
-per (beam, support) and cached; a call without a support finds the
+lost visibility.  The n-node rule and its Kronrod extension are built
+together once per n; the 2n + 1 nodes, with the density folded into
+both rules' weights and the powers of u/v evaluated on them, are built
+once per (beam, support) and cached; a call without a support finds the
 default window's nodes under the key (beam, None).
 
 A plain call (no ``scales``) is one row exp(i phi) on the 2n + 1 nodes
@@ -86,7 +89,6 @@ __all__ = [
     "FringeObservable",
     "FringeCurve",
     "averaged_fringe",
-    "measured_phase_shift",
     "non_additivity_gap",
     "visibility_ratio",
 ]
@@ -139,20 +141,12 @@ class FringeCurve:
 
 
 @lru_cache(maxsize=64)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-@lru_cache(maxsize=64)
 def _kronrod(n: int):
-    """Read-only Kronrod extension of the n-node Gauss-Legendre rule on
-    [-1, 1]: (the 2n + 1 abscissae, the n Gauss nodes of _leggauss(n)
-    first, then the n + 1 Kronrod nodes; the Kronrod weights on all of
-    them), by Laurie's algorithm (Math. Comp. 66:1133, 1997) for the
-    Legendre weight.
+    """Read-only n-node Gauss-Legendre rule on [-1, 1] and its Kronrod
+    extension: (the 2n + 1 abscissae, the n Gauss nodes of numpy's
+    leggauss(n) first, then the n + 1 Kronrod nodes; the n Gauss weights;
+    the Kronrod weights on all 2n + 1), by Laurie's algorithm (Math.
+    Comp. 66:1133, 1997) for the Legendre weight.
     """
     # the Jacobi-Kronrod matrix has a zero diagonal (the weight is even)
     # and off-diagonal sqrt(b_k), k = 1 .. 2n; b_0 = 2 is the mass and
@@ -192,16 +186,17 @@ def _kronrod(n: int):
     x_kronrod = np.concatenate([-positive[::-1], [0.0], positive])[::2]
     # weight = b_0 / |p(x)|^2 over the orthonormal polynomials p_0 .. p_2n
     # of the matrix (its eigenvector at x), by their three-term recurrence
-    x = np.concatenate([_leggauss(n)[0], x_kronrod])
+    x_gauss, w_gauss = np.polynomial.legendre.leggauss(n)
+    x = np.concatenate([x_gauss, x_kronrod])
     beta = np.sqrt(b).tolist()
     p_prev, p, norm2 = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
     for k in range(1, 2 * n + 1):
         p_prev, p = p, (x * p - beta[k - 1] * p_prev) / beta[k]
         norm2 += p * p
     w = b[0] / norm2
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    for a in (x, w_gauss, w):
+        a.setflags(write=False)
+    return x, w_gauss, w
 
 
 @lru_cache(maxsize=64)
@@ -228,8 +223,7 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
             "about 4.25 the 1e-3 u floor of the window cuts the beam)"
         )
     n = support.node_count
-    w = _leggauss(n)[1]
-    x, w_kronrod = _kronrod(n)
+    x, w, w_kronrod = _kronrod(n)
     half = 0.5 * (support.v_max - support.v_min)
     mid = 0.5 * (support.v_max + support.v_min)
     v = mid + half * x
@@ -480,24 +474,6 @@ def averaged_fringe(
         dlogz_dscale=(1j * sums[:, 0] / z)[inv],
         dlogz_dspeed_ratio=(sums[:, 1] / z)[inv],
     )
-
-
-def measured_phase_shift(
-    terms_on,
-    terms_off,
-    beam: BeamModel,
-    support: VelocitySupport | None = None,
-) -> float:
-    """Difference of unwrapped averaged phases, terms_on minus terms_off.
-
-    This is the measurement protocol: the phase with the perturbation
-    applied minus the phase of the undisturbed interferometer, both
-    velocity-averaged (the always-present terms do not subtract out
-    exactly because the average is nonlinear).
-    """
-    on = averaged_fringe(terms_on, beam, support)
-    off = averaged_fringe(terms_off, beam, support)
-    return on.phase_unwrapped - off.phase_unwrapped
 
 
 def non_additivity_gap(

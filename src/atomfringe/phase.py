@@ -140,6 +140,9 @@ class MirrorMotion:
     max_travel: float = 20e-6  # m, piezo stroke
 
     def __post_init__(self):
+        for name in ("v1", "v3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.max_travel > 0.0:
             raise ValueError(f"max_travel must be positive, got {self.max_travel}")
 
@@ -148,7 +151,7 @@ class MirrorMotion:
 class PrismGeometry:
     """A movable Brewster-incidence prism in the standing-wave path."""
 
-    refractive_index_n: float
+    refractive_index_n: float = 1.46
 
     def __post_init__(self):
         if self.refractive_index_n < 1.0:
@@ -238,7 +241,7 @@ def required_mirror_velocity(
     geometry: InterferometerGeometry,
     target_phase_at_mean: float,
     u: float,
-    max_travel: float = 20e-6,
+    max_travel: float = MirrorMotion.max_travel,
 ) -> MirrorMotion:
     """Antisymmetric mirror velocities producing the target phase at v = u."""
     if not math.isfinite(target_phase_at_mean):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from atomfringe import BeamModel, VelocitySupport, default_support, velocity_pdf
+from atomfringe.beam import MAX_NODE_COUNT
 
 
 def test_sigma_matches_speed_ratio_definition():
@@ -99,3 +100,14 @@ def test_non_finite_windows_are_refused(bad):
 def test_support_validation(vmin, vmax, n):
     with pytest.raises(ValueError):
         VelocitySupport(v_min=vmin, v_max=vmax, node_count=n)
+
+
+def test_node_count_stops_at_the_largest_kronrod_rule_built():
+    # above it Laurie's moments outgrow double precision: at n = 1075 the
+    # Kronrod weights sum to 2 + 7e-5, and at 1100 the build itself fails
+    assert MAX_NODE_COUNT == 1025
+    assert VelocitySupport(v_min=50.0, v_max=100.0, node_count=1025).node_count == 1025
+    with pytest.raises(ValueError, match="node_count must be at most 1025, got 1026"):
+        VelocitySupport(v_min=50.0, v_max=100.0, node_count=1026)
+    with pytest.raises(ValueError, match="node_count must be at most 1025"):
+        default_support(BeamModel(u=1065.7, s_parallel=7.67), node_count=4097)

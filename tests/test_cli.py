@@ -148,6 +148,17 @@ def test_simulate_rejects_bad_voltage_list(config_path, tmp_path, capsys):
     assert "--voltages" in capsys.readouterr().err
 
 
+def test_simulate_without_alpha_is_flat(tmp_path):
+    # no polarizability: every voltage is the off state itself
+    doc = base_config()
+    del doc["alpha_m3"]
+    config = write_config(tmp_path, doc, "noalpha.json")
+    out = tmp_path / "curve.csv"
+    assert main(["simulate", "--config", config, "--voltages", "0,150,300", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [(float(ph), float(vr)) for _, ph, vr in rows] == [(0.0, 1.0)] * 3
+
+
 # -------------------------------------------------------------------- synth
 
 
@@ -270,6 +281,15 @@ def test_synth_rejects_jitter_without_rotation_term(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_rejects_duplicate_design_voltages(config_path, tmp_path, capsys):
+    design = write_config(tmp_path, design_doc(voltages_V=[100.0, 200.0, 100.0]), "dup.json")
+    out = tmp_path / "obs.csv"
+    code = main(["synth", "--config", config_path, "--design", design, "--out", str(out)])
+    assert code == 2
+    assert_one_error_line(capsys, "dup.json", "design voltages must be distinct")
+    assert not out.exists()
+
+
 def test_synth_jittered_file_is_rebuilt_by_hand(config_path, tmp_path):
     # the per-point path: for each voltage draw the rotation jitter, then
     # the phase noise, then the visibility noise, from one seeded stream,
@@ -338,6 +358,20 @@ def test_fit_recovers_noiseless_truth(config_path, tmp_path):
     assert len(doc["covariance"]) == 2
     assert doc["sigma_s_parallel"] > 0.0
     assert doc["sigma_coeff_per_U2"] > 0.0
+
+
+def test_fit_dash_writes_the_report_to_stdout(config_path, tmp_path, monkeypatch, capsys):
+    design = write_config(tmp_path, design_doc(), "design.json")
+    obs, report = tmp_path / "obs.csv", tmp_path / "fit.json"
+    assert main(["synth", "--config", config_path, "--design", design, "--out", str(obs)]) == 0
+    assert main(["fit", "--config", config_path, "--obs", str(obs), "--out", str(report)]) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["fit", "--config", config_path, "--obs", str(obs), "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert strict_json(text)["converged"] is True
+    assert text == report.read_text(encoding="utf-8")
+    assert not (tmp_path / "-").exists()
 
 
 def test_fit_sagnac_off_biases_s_upward(config_path, tmp_path):
@@ -476,6 +510,19 @@ def test_tune_from_voltage_uses_config_alpha(config_path, tmp_path):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["pol_amplitude_rad"] == pytest.approx(-C_TRUE * 400.0**2, rel=1e-9)
     assert doc["counter_amplitude_rad"] == -doc["pol_amplitude_rad"]
+
+
+def test_tune_dash_writes_the_plan_to_stdout(config_path, tmp_path, monkeypatch, capsys):
+    plan = tmp_path / "plan.json"
+    argv = ["tune", "--config", config_path, "--voltage", "420", "--out"]
+    assert main([*argv, str(plan)]) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "-"]) == 0
+    text = capsys.readouterr().out
+    assert strict_json(text)["counter_amplitude_rad"] > 0.0
+    assert text == plan.read_text(encoding="utf-8")
+    assert not (tmp_path / "-").exists()
 
 
 def test_tune_voltage_needs_alpha(tmp_path, capsys):
@@ -676,6 +723,7 @@ def test_config_missing_geometry_field_named(tmp_path, capsys):
     "averaging",
     [
         {"node_count": 2},
+        {"node_count": 1026},  # above the largest Gauss-Kronrod rule built
         {"node_count": 64.5},
         {"node_count": "257"},
         {"width_sigmas": 0.0},
@@ -890,6 +938,19 @@ def test_readme_documents_every_schema_key():
             assert f"| {section or top[name]} | `{key}` |" in readme, (name, section, key)
 
 
+def test_readme_library_example_runs():
+    # the first python block of README.md (Library), run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    start = library.index("```python\n") + len("```python\n")
+    code = library[start:library.index("```", start)]
+    assert "import atomfringe as af" in code
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["plan"].residual_phase == 0.0
+    assert len(namespace["phases"]) == 3
+
+
 @pytest.mark.parametrize(
     "command, flags, flag",
     [
@@ -958,6 +1019,20 @@ def test_obs_short_row_exits_2(config_path, tmp_path, capsys):
     code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", "-"])
     assert code == 2
     assert "short.csv:2" in capsys.readouterr().err
+
+
+def test_obs_blank_lines_are_skipped(tmp_path):
+    header = ",".join(OBSERVATION_HEADER)
+    rows = ["100,-1.0,0.05,0.9,0.005", "200,-4.0,0.05,0.7,0.005", "300,-9.0,0.05,0.5,0.005"]
+    packed, spaced = tmp_path / "packed.csv", tmp_path / "spaced.csv"
+    packed.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    spaced.write_text("\n".join([header, "", rows[0], "", "", *rows[1:], ""]) + "\n", encoding="utf-8")
+    assert len(read_observations(str(spaced))) == 3
+    assert read_observations(str(spaced)) == read_observations(str(packed))
+    # a blank line still counts in the line number of an error
+    spaced.write_text(f"{header}\n\n{rows[0]}\n100,oops,0.05,0.9,0.005\n", encoding="utf-8")
+    with pytest.raises(cli.ParseError, match="spaced.csv:4: field 'phase_rad'"):
+        read_observations(str(spaced))
 
 
 @pytest.mark.parametrize(

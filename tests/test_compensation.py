@@ -1,5 +1,6 @@
 """Counterphase tuning, residual dispersion, and alpha extraction."""
 
+import math
 import re
 
 import pytest
@@ -210,5 +211,26 @@ def test_alpha_extraction_validation():
         af.extract_alpha_compensated(
             0.0, plan.motion, GEO, BEAM.u, af.CapacitorModel(geometry_factor_G=0.0)
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="voltage must be nonzero to normalize"):
         af.extract_alpha_compensated(0.0, plan.motion, GEO, BEAM.u, CAP, voltage_U=0.0)
+
+
+@pytest.mark.parametrize(
+    "changed, name",
+    [
+        ({"measured_residual": math.nan}, "measured_residual"),
+        ({"measured_residual": math.inf}, "measured_residual"),
+        ({"voltage_U": math.inf}, "voltage_U"),
+        ({"voltage_U": math.nan}, "voltage_U"),
+        ({"u": -BEAM.u}, "u"),
+        ({"u": math.inf}, "u"),
+        ({"u": math.nan}, "u"),
+    ],
+)
+def test_alpha_extraction_refuses_non_finite_inputs_by_name(changed, name):
+    # these used to return nan, 0.0 or -inf, or a negative u went through
+    plan = af.tune_counterphase(T(-100.0), BEAM, GEO)
+    args = {"measured_residual": 0.0, "motion": plan.motion, "geometry": GEO,
+            "u": BEAM.u, "capacitor": CAP, "voltage_U": 400.0, **changed}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        af.extract_alpha_compensated(**args)

@@ -68,21 +68,27 @@ def test_an_infinite_window_is_refused():
         af.fit(af.ObservationSet(zero_noise_observations(), ctx))
 
 
+def model_point(s_parallel, coeff_per_U2, voltage_U, ctx):
+    """The model (phase, vis_ratio) at one voltage: a one-entry model curve."""
+    phases, ratios = af.model_curve(s_parallel, coeff_per_U2, (voltage_U,), ctx)
+    return float(phases[0]), float(ratios[0])
+
+
 def test_predict_against_oracle():
-    phase, ratio = af.predict(S_TRUE, C_TRUE, 250.0, model_context())
+    phase, ratio = model_point(S_TRUE, C_TRUE, 250.0, model_context())
     assert phase == pytest.approx(PREDICT_250_PHASE, abs=1e-10)
     assert ratio == pytest.approx(PREDICT_250_RATIO, abs=1e-12)
 
 
 def test_predict_at_zero_voltage_is_exact():
-    phase, ratio = af.predict(S_TRUE, C_TRUE, 0.0, model_context())
+    phase, ratio = model_point(S_TRUE, C_TRUE, 0.0, model_context())
     assert phase == 0.0
     assert ratio == 1.0
 
 
 def test_predict_rejects_unphysical_speed_ratio():
     with pytest.raises(ValueError):
-        af.predict(1.0, C_TRUE, 100.0, model_context())
+        model_point(1.0, C_TRUE, 100.0, model_context())
 
 
 def test_model_curve_matches_pointwise_predict():
@@ -90,7 +96,7 @@ def test_model_curve_matches_pointwise_predict():
     volts = np.array([0.0, 100.0, 300.0])
     phases, ratios = af.model_curve(S_TRUE, C_TRUE, volts, ctx)
     for v, p, r in zip(volts, phases, ratios):
-        p1, r1 = af.predict(S_TRUE, C_TRUE, float(v), ctx)
+        p1, r1 = model_point(S_TRUE, C_TRUE, float(v), ctx)
         assert p == pytest.approx(p1, abs=1e-13)
         assert r == pytest.approx(r1, abs=1e-13)
 
@@ -154,7 +160,7 @@ def test_residuals_are_raw_differences():
     res = af.fit(observation_set(obs))
     assert res.residuals.shape == (len(obs), 2)
     ctx = model_context()
-    p0, r0 = af.predict(res.s_parallel, res.coeff_per_U2, obs[3].voltage_U, ctx)
+    p0, r0 = model_point(res.s_parallel, res.coeff_per_U2, obs[3].voltage_U, ctx)
     assert res.residuals[3, 0] == pytest.approx(obs[3].phase_meas - p0, abs=1e-12)
     assert res.residuals[3, 1] == pytest.approx(obs[3].vis_ratio - r0, abs=1e-12)
 

@@ -110,6 +110,15 @@ def test_sustain_time():
     assert af.sustain_time(at_rest) == math.inf
 
 
+@pytest.mark.parametrize("name", ["v1", "v3"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mirror_motion_refuses_non_finite_velocities(name, bad):
+    # a NaN velocity used to build, and its sustain time read nan
+    velocities = {"v1": 0.0, "v3": 0.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        af.MirrorMotion(**velocities)
+
+
 def test_prism_ratio_reduced_form():
     assert af.prism_displacement_ratio(af.PrismGeometry(refractive_index_n=1.46)) == \
         pytest.approx(-0.2475, abs=5e-4)
