@@ -7,7 +7,7 @@ designs rotation-type counterphases that cancel the velocity
 dispersion of a polarizability phase.
 """
 
-from .beam import BeamModel, VelocitySupport, default_support, velocity_pdf
+from .beam import BeamModel, VelocitySupport, velocity_pdf
 from .compensation import (
     CompensationPlan,
     extract_alpha_compensated,

@@ -26,7 +26,6 @@ __all__ = [
     "BeamModel",
     "VelocitySupport",
     "velocity_pdf",
-    "default_support",
 ]
 
 # the averaging window (in Gaussian sigmas) and Gauss-Legendre order
@@ -46,11 +45,11 @@ class BeamModel:
     Parameters
     ----------
     u : float
-        Mean longitudinal velocity in m/s.  Must be positive.
+        Mean longitudinal velocity in m/s.  Must be positive and finite.
     s_parallel : float
         Parallel speed ratio u / (sqrt(2) sigma_v), dimensionless.
-        Must exceed 1; the narrow-beam expansion used throughout
-        assumes a supersonic source.
+        Must exceed 1 and be finite; the narrow-beam expansion used
+        throughout assumes a supersonic source.
     """
 
     u: float
@@ -63,6 +62,9 @@ class BeamModel:
             raise ValueError(
                 f"speed ratio must exceed 1, got s_parallel={self.s_parallel}"
             )
+        for name in ("u", "s_parallel"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def sigma(self) -> float:
@@ -72,20 +74,21 @@ class BeamModel:
 
 @dataclass(frozen=True)
 class VelocitySupport:
-    """Truncated integration window for velocity averages.
+    """Truncated integration window for velocity averages, relative to
+    the beam: +/- width_sigmas Gaussian sigmas about the mean velocity,
+    so one window follows a beam whose speed ratio changes (as in a fit).
 
-    node_count is the Gauss-Legendre order used on [v_min, v_max],
-    3 to MAX_NODE_COUNT.
+    node_count is the Gauss-Legendre order used on the window, 3 to
+    MAX_NODE_COUNT.
     """
 
-    v_min: float
-    v_max: float
+    width_sigmas: float = DEFAULT_WIDTH_SIGMAS
     node_count: int = DEFAULT_NODE_COUNT
 
     def __post_init__(self):
-        if not 0.0 < self.v_min < self.v_max < math.inf:
+        if not 0.0 < self.width_sigmas < math.inf:
             raise ValueError(
-                f"require 0 < v_min < v_max < inf, got [{self.v_min}, {self.v_max}]"
+                f"width_sigmas must be positive and finite, got {self.width_sigmas}"
             )
         if self.node_count < 3:
             raise ValueError(f"node_count must be at least 3, got {self.node_count}")
@@ -93,6 +96,23 @@ class VelocitySupport:
             raise ValueError(
                 f"node_count must be at most {MAX_NODE_COUNT}, got {self.node_count}"
             )
+
+    def bounds(self, beam: BeamModel) -> tuple[float, float]:
+        """(v_min, v_max) in m/s of the window on beam, clamped away from v = 0.
+
+        The lower edge is max(u - width_sigmas * sigma, 1e-3 * u) so the
+        1/v factors in the phase terms stay finite for broad beams.  At the
+        default width the two-sided Gaussian mass outside the window is
+        ~1.4e-15, far below the quadrature tolerance; below a speed ratio
+        of about 4.25 the clamp cuts off more than that tolerance, and the
+        velocity average refuses such a window.
+        """
+        half = self.width_sigmas * beam.sigma
+        v_min = max(beam.u - half, 1e-3 * beam.u)
+        v_max = beam.u + half
+        if not 0.0 < v_min < v_max < math.inf:
+            raise ValueError(f"require 0 < v_min < v_max < inf, got [{v_min}, {v_max}]")
+        return v_min, v_max
 
 
 def velocity_pdf(beam: BeamModel, v):
@@ -108,23 +128,3 @@ def velocity_pdf(beam: BeamModel, v):
     out = (s_over_u / math.sqrt(math.pi)) * np.exp(-(((v - beam.u) * s_over_u) ** 2))
     return out if out.ndim else float(out)
 
-
-def default_support(
-    beam: BeamModel,
-    width_sigmas: float = DEFAULT_WIDTH_SIGMAS,
-    node_count: int = DEFAULT_NODE_COUNT,
-) -> VelocitySupport:
-    """Symmetric +/- width_sigmas window, clamped away from v = 0.
-
-    The lower edge is max(u - width_sigmas * sigma, 1e-3 * u) so the
-    1/v factors in the phase terms stay finite for broad beams.  At the
-    default width the two-sided Gaussian mass outside the window is
-    ~1.4e-15, far below the quadrature tolerance; below a speed ratio
-    of about 4.25 the clamp cuts off more than that tolerance, and the
-    velocity average refuses such a window.
-    """
-    if not 0.0 < width_sigmas < math.inf:
-        raise ValueError(f"width_sigmas must be positive and finite, got {width_sigmas}")
-    half = width_sigmas * beam.sigma
-    v_min = max(beam.u - half, 1e-3 * beam.u)
-    return VelocitySupport(v_min=v_min, v_max=beam.u + half, node_count=node_count)

@@ -31,14 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .beam import (
-    DEFAULT_NODE_COUNT,
-    DEFAULT_WIDTH_SIGMAS,
-    MAX_NODE_COUNT,
-    BeamModel,
-    VelocitySupport,
-    default_support,
-)
+from .beam import MAX_NODE_COUNT, BeamModel, VelocitySupport
 from .compensation import residual_dispersion, tune_counterphase
 from .fitkit import (
     ModelContext,
@@ -94,8 +87,7 @@ class RunConfig:
     beam: BeamModel
     alpha_m3: float | None = None
     prism: PrismGeometry = PrismGeometry()
-    width_sigmas: float = DEFAULT_WIDTH_SIGMAS
-    node_count: int = DEFAULT_NODE_COUNT
+    support: VelocitySupport = VelocitySupport()
     include_sagnac: bool = True
     max_iterations: int = 200
     chi2_scaling: bool = True
@@ -110,13 +102,8 @@ class RunConfig:
         return ModelContext(
             beam_u=self.beam.u,
             sagnac_amplitude_at_mean=amp,
-            width_sigmas=self.width_sigmas,
-            node_count=self.node_count,
+            support=self.support,
         )
-
-    def support(self, beam: BeamModel) -> VelocitySupport:
-        """The configured averaging window and node count for beam."""
-        return default_support(beam, self.width_sigmas, self.node_count)
 
     def stark_coefficient(self) -> float:
         """rad/V^2 of the configured polarizability, 0 when alpha unset.
@@ -175,9 +162,9 @@ SCHEMA = {
         (None, "alpha_m3", "number or null", {"above": 0}, RunConfig.alpha_m3),
         (None, "prism_n", "number", {"least": 1}, RunConfig.prism.refractive_index_n),
         (None, "rng_seed", "integer", {"least": 0}, RunConfig.rng_seed),
-        # the averaging and fit keys are RunConfig field names
-        ("averaging", "width_sigmas", "number", {"above": 0}, RunConfig.width_sigmas),
-        ("averaging", "node_count", "integer", {"least": 3, "most": MAX_NODE_COUNT}, RunConfig.node_count),
+        # the averaging keys are VelocitySupport field names, the fit keys RunConfig's
+        ("averaging", "width_sigmas", "number", {"above": 0}, VelocitySupport.width_sigmas),
+        ("averaging", "node_count", "integer", {"least": 3, "most": MAX_NODE_COUNT}, VelocitySupport.node_count),
         ("fit", "include_sagnac", "bool", {}, RunConfig.include_sagnac),
         ("fit", "max_iterations", "integer", {"least": 1}, RunConfig.max_iterations),
         ("fit", "chi2_scaling", "bool", {}, RunConfig.chi2_scaling),
@@ -198,10 +185,12 @@ def _number(
     """value when it is a finite JSON number (an int if integer) of at
     least least, above above, at most most and, if one_of is given, equal
     to one of its entries; ParseError naming what and value otherwise."""
-    # exact type checks: JSON true/false must not pass as 1/0, "1.5" as 1.5
+    # exact type checks: JSON true/false must not pass as 1/0, "1.5" as 1.5;
+    # the magnitude test refuses NaN, the infinities and an int beyond the
+    # float range (math.isfinite raises OverflowError for one)
     if (
         type(value) not in ((int,) if integer else (int, float))
-        or not math.isfinite(value)
+        or not abs(value) <= sys.float_info.max
         or not least <= value <= most
         or not value > above
         or (one_of and value not in one_of)
@@ -246,6 +235,8 @@ def _load_json(path: str):
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer of over 4300 digits
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _read_schema(path: str, rows) -> dict:
@@ -287,7 +278,7 @@ def load_config(path: str) -> RunConfig:
             alpha_m3=values["alpha_m3"],
             prism=PrismGeometry(refractive_index_n=values["prism_n"]),
             rng_seed=values["rng_seed"],
-            **values["averaging"],
+            support=VelocitySupport(**values["averaging"]),
             **values["fit"],
         )
     except ValueError as exc:
@@ -568,7 +559,7 @@ def _cmd_tune(args) -> int:
         config.beam,
         config.geometry,
         prism=config.prism,
-        support=config.support(config.beam),
+        support=config.support,
     )
     payload = {"pol_amplitude_rad": pol.amplitude_at_mean, **plan.to_report()}
     _write_json(args.out, payload)
@@ -580,19 +571,18 @@ def _cmd_residual(args) -> int:
     pol = args.pol_amplitude
     v2_list = _parse_float_list(args.v2, "--v2")
     beam = config.beam
-    support = config.support(beam)
     rows = []
     if args.v1 is not None:
         # a free v1 grid is a two-parameter family: one average per pair
         for a1 in _parse_float_list(args.v1, "--v1"):
             for a2 in v2_list:
                 terms = [DispersivePhaseTerm(a, e) for a, e in ((pol, 1), (a1, 1), (a2, 2))]
-                obs = averaged_fringe(terms, beam, support)
+                obs = averaged_fringe(terms, beam, config.support)
                 rows.append((a1, a2, obs.phase_unwrapped, obs.visibility))
     else:
         # v1 completes each v2 to -pol (cancellation at v = u), which
         # leaves one family in v2: the whole scan is one average
-        phases, vis = residual_dispersion(v2_list, beam, support)
+        phases, vis = residual_dispersion(v2_list, beam, config.support)
         rows = [(-pol - a2, a2, ph, r) for a2, ph, r in zip(v2_list, phases, vis)]
     _write_csv(
         args.out,

@@ -77,7 +77,7 @@ def tune_counterphase(
     geometry: InterferometerGeometry,
     *,
     prism: PrismGeometry = PrismGeometry(),
-    support: VelocitySupport | None = None,
+    support: VelocitySupport = VelocitySupport(),
     max_travel: float = MirrorMotion.max_travel,
 ) -> CompensationPlan:
     """Null the averaged total phase with a mirror-motion counterphase.
@@ -117,7 +117,7 @@ _ROBERTS_MISMATCH = (
 def residual_dispersion(
     v2_amplitudes,
     beam: BeamModel,
-    support: VelocitySupport | None = None,
+    support: VelocitySupport = VelocitySupport(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Averaged phases and visibility ratios left by Roberts counterphases.
 

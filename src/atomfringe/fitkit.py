@@ -18,16 +18,17 @@ by Levenberg-Marquardt with the exact Jacobian.  Every voltage's total
 amplitude sag - coeff * U^2 multiplies the same u/v profile, so one
 velocity average of that profile at all amplitudes (a FringeCurve)
 gives the residuals and, from d ln Z / d amplitude and
-d ln Z / d s_parallel, their derivatives in the same pass.  Damping
-starts at 1e-3, divides by 3 on accepted steps and multiplies by 10 on
-rejections, so the objective never increases along the accepted
-sequence.  The converged flag means either the gradient criterion
-max|J^T r| <= 1e-6 * max(1, chi^2) held at the reported optimum or the
-cost had stopped improving to float resolution over several accepted
-steps (an ftol-style exit; the remaining parameter motion is then far
-below the reported sigmas).  The covariance is the inverse Gauss-Newton
-normal matrix at the optimum, scaled by reduced chi-square unless
-disabled.
+d ln Z / d s_parallel, their derivatives in the same pass.  The average
+runs on the context's VelocitySupport, a window relative to the beam,
+so it moves with each trial s_parallel.  Damping starts at 1e-3,
+divides by 3 on accepted steps and multiplies by 10 on rejections, so
+the objective never increases along the accepted sequence.  The
+converged flag means either the gradient criterion max|J^T r| <=
+1e-6 * max(1, chi^2) held at the reported optimum or the cost had
+stopped improving to float resolution over several accepted steps (an
+ftol-style exit; the remaining parameter motion is then far below the
+reported sigmas).  The covariance is the inverse Gauss-Newton normal
+matrix at the optimum, scaled by reduced chi-square unless disabled.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import DEFAULT_NODE_COUNT, DEFAULT_WIDTH_SIGMAS, BeamModel, default_support
+from .beam import BeamModel, VelocitySupport
 from .fringe import QuadratureConvergenceError, averaged_fringe
 from .phase import DispersivePhaseTerm
 
@@ -94,14 +95,13 @@ class ModelContext:
 
     beam_u and the rotation amplitude are measured independently and
     held fixed by the fit; sagnac_amplitude_at_mean = 0 disables the
-    rotation term.  width_sigmas and node_count control the velocity
-    averaging.
+    rotation term.  support is the velocity-averaging window, relative
+    to the beam, so it follows the speed ratio the fit varies.
     """
 
     beam_u: float
     sagnac_amplitude_at_mean: float
-    width_sigmas: float = DEFAULT_WIDTH_SIGMAS
-    node_count: int = DEFAULT_NODE_COUNT
+    support: VelocitySupport = VelocitySupport()
 
     def __post_init__(self):
         if not self.beam_u > 0.0:
@@ -158,11 +158,10 @@ def _model_pass(s_parallel, coeff_per_U2, voltages, context: ModelContext):
     alone), the rest are the on states.
     """
     beam = BeamModel(u=context.beam_u, s_parallel=s_parallel)
-    support = default_support(beam, context.width_sigmas, context.node_count)
     u2 = np.asarray(voltages, dtype=float) ** 2
     sag = context.sagnac_amplitude_at_mean
     curve = averaged_fringe(
-        _UNIT_TERM, beam, support=support,
+        _UNIT_TERM, beam, context.support,
         scales=np.concatenate([[sag], sag - coeff_per_U2 * u2]),
     )
     phases = curve.phase_unwrapped[1:] - curve.phase_unwrapped[0]

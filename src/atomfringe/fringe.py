@@ -32,8 +32,9 @@ raises QuadratureConvergenceError instead of reporting that mass as
 lost visibility.  The n-node rule and its Kronrod extension are built
 together once per n; the 2n + 1 nodes, with the density folded into
 both rules' weights and the powers of u/v evaluated on them, are built
-once per (beam, support) and cached; a call without a support finds the
-default window's nodes under the key (beam, None).
+once per (beam, support) and cached; the window is relative to the beam
+(VelocitySupport.bounds), so a call without a support finds the default
+window's nodes under the key (beam, VelocitySupport()).
 
 A plain call (no ``scales``) is one row exp(i phi) on the 2n + 1 nodes
 and its two sums, Z and Z_K, each one np.dot.  These become Python
@@ -80,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .beam import BeamModel, VelocitySupport, default_support, velocity_pdf
+from .beam import BeamModel, VelocitySupport, velocity_pdf
 from .phase import DispersivePhaseTerm
 
 __all__ = [
@@ -200,32 +201,30 @@ def _kronrod(n: int):
 
 
 @lru_cache(maxsize=64)
-def _weighted_nodes(beam: BeamModel, support: VelocitySupport | None):
+def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
     """Read-only arrays on the 2n + 1 nodes v of the Gauss-Kronrod grid,
     the n Gauss nodes first: (powers, w P, w_K P, d ln P / d S), where
     powers[e] = (u/v)^e for e = 0, 1, 2 on every node, w P and d ln P / d S
     are on the Gauss nodes only and the Kronrod weights w_K P on all.
-    Support None is the beam's default window, so a default call finds
-    its nodes without building one.  Raises QuadratureConvergenceError
-    when more than QUADRATURE_TOL of the beam lies outside the window.
+    Raises QuadratureConvergenceError when more than QUADRATURE_TOL of
+    the beam lies outside the window.
     """
-    if support is None:
-        support = default_support(beam)
+    v_min, v_max = support.bounds(beam)
     s_over_u = beam.s_parallel / beam.u
-    outside = 0.5 * math.erfc((beam.u - support.v_min) * s_over_u) + 0.5 * math.erfc(
-        (support.v_max - beam.u) * s_over_u
+    outside = 0.5 * math.erfc((beam.u - v_min) * s_over_u) + 0.5 * math.erfc(
+        (v_max - beam.u) * s_over_u
     )
     if outside > QUADRATURE_TOL:
         raise QuadratureConvergenceError(
-            f"velocity window [{support.v_min:.6g}, {support.v_max:.6g}] m/s leaves "
+            f"velocity window [{v_min:.6g}, {v_max:.6g}] m/s leaves "
             f"{outside:.3e} > {QUADRATURE_TOL:g} of the beam density outside at speed "
             f"ratio {beam.s_parallel:g}; widen width_sigmas (below a speed ratio of "
             "about 4.25 the 1e-3 u floor of the window cuts the beam)"
         )
     n = support.node_count
     x, w, w_kronrod = _kronrod(n)
-    half = 0.5 * (support.v_max - support.v_min)
-    mid = 0.5 * (support.v_max + support.v_min)
+    half = 0.5 * (v_max - v_min)
+    mid = 0.5 * (v_max + v_min)
     v = mid + half * x
     # the density on the Gauss nodes as an array of its own, as the n-node
     # rule alone computes it, so that w P cannot depend on the new nodes
@@ -393,7 +392,7 @@ def _plain(terms, beam, support, unwrap):
 def averaged_fringe(
     terms,
     beam: BeamModel,
-    support: VelocitySupport | None = None,
+    support: VelocitySupport = VelocitySupport(),
     *,
     unwrap: bool = True,
     scales=None,
@@ -407,8 +406,8 @@ def averaged_fringe(
         exponent (terms of one exponent enter through their sum).
     beam : BeamModel
     support : VelocitySupport, optional
-        Integration window and node count; defaults to the beam's
-        8-sigma window at 257 nodes.
+        Integration window, relative to the beam, and node count;
+        defaults to the 8-sigma window at 257 nodes.
     unwrap : bool
         Skip the amplitude-continuation unwrap when False and report
         phase_unwrapped = nan.  Useful for visibility diagnostics at
@@ -480,7 +479,7 @@ def non_additivity_gap(
     term_a: DispersivePhaseTerm,
     term_b: DispersivePhaseTerm,
     beam: BeamModel,
-    support: VelocitySupport | None = None,
+    support: VelocitySupport = VelocitySupport(),
 ) -> float:
     """<phase of a+b> - <phase of a> - <phase of b>.
 
@@ -496,7 +495,7 @@ def non_additivity_gap(
 def visibility_ratio(
     terms,
     beam: BeamModel,
-    support: VelocitySupport | None = None,
+    support: VelocitySupport = VelocitySupport(),
 ) -> float:
     """Averaged visibility relative to the zero-dispersion visibility, |Z|."""
     # |Z| needs no unwrap, so this stays usable past the point where

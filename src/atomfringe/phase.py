@@ -103,6 +103,9 @@ class InterferometerGeometry:
             raise ValueError(f"latitude must be in [-pi/2, pi/2] rad, got {self.latitude}")
         if self.earth_rotation_rate < 0.0:
             raise ValueError("earth_rotation_rate must be non-negative")
+        for name in ("k_laser", "grating_separation_L", "latitude", "earth_rotation_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def k_grating(self) -> float:
@@ -127,6 +130,8 @@ class CapacitorModel:
             raise ValueError(
                 f"geometry factor must be positive, got {self.geometry_factor_G}"
             )
+        if not math.isfinite(self.geometry_factor_G):
+            raise ValueError(f"geometry_factor_G must be finite, got {self.geometry_factor_G}")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
@@ -157,6 +162,10 @@ class PrismGeometry:
         if self.refractive_index_n < 1.0:
             raise ValueError(
                 f"refractive index must be >= 1, got {self.refractive_index_n}"
+            )
+        if not math.isfinite(self.refractive_index_n):
+            raise ValueError(
+                f"refractive_index_n must be finite, got {self.refractive_index_n}"
             )
 
 

@@ -41,7 +41,9 @@ DESIGN = SyntheticDesign(
 
 def model_context(node_count=257, sagnac=SAG_AMP):
     return af.ModelContext(
-        beam_u=BEAM.u, sagnac_amplitude_at_mean=sagnac, node_count=node_count
+        beam_u=BEAM.u,
+        sagnac_amplitude_at_mean=sagnac,
+        support=af.VelocitySupport(node_count=node_count),
     )
 
 

@@ -116,7 +116,7 @@ def test_criterion_09_numerical_robustness(tmp_path):
             ob = af.averaged_fringe(
                 terms,
                 BEAM,
-                support=af.default_support(BEAM, node_count=n),
+                support=af.VelocitySupport(node_count=n),
                 unwrap=False,
             )
             zs.append(ob.visibility * np.exp(1j * ob.phase))

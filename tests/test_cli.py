@@ -25,6 +25,8 @@ LATITUDE_DEG = 43.0 + 33.0 / 60.0 + 37.0 / 3600.0
 ROBERTS_PHASE = 0.012081309880924184
 ROBERTS_VIS = 0.642918882718436
 
+HUGE = 10**400  # a JSON integer beyond the float range
+
 
 def base_config() -> dict:
     return {
@@ -798,6 +800,8 @@ def assert_one_error_line(capsys, *words):
         (("geometry", "latitude_deg"), 95),
         (("beam", "s_parallel"), 0.5),
         (("geometry", "arm_sign"), 0.5),
+        pytest.param(("geometry", "L_m"), HUGE, id="L_m-huge"),
+        pytest.param(("rng_seed",), HUGE, id="rng_seed-huge"),
     ],
 )
 def test_config_bad_number_exits_2(path, value, tmp_path, capsys):
@@ -820,6 +824,7 @@ def test_config_bad_number_exits_2(path, value, tmp_path, capsys):
         ("vis_sigma", True),
         ("phase_sigma_base_rad", math.nan),
         ("rotation_jitter_rad_per_s", math.inf),
+        pytest.param("phase_sigma_base_rad", HUGE, id="phase_sigma_base_rad-huge"),
     ],
 )
 def test_design_bad_number_exits_2(key, value, config_path, tmp_path, capsys):
@@ -894,8 +899,7 @@ def benchmark_config(s_parallel, alpha_m3, **extra):
                 beam=BEAM,
                 alpha_m3=ALPHA_TRUE,
                 prism=af.PrismGeometry(refractive_index_n=1.5),
-                width_sigmas=9.0,
-                node_count=301,
+                support=af.VelocitySupport(width_sigmas=9.0, node_count=301),
                 include_sagnac=False,
                 max_iterations=50,
                 chi2_scaling=False,
@@ -963,6 +967,8 @@ def test_readme_library_example_runs():
         ("residual", ["--pol-amplitude", "-100", "--v2", "nan"], "--v2"),
         ("residual", ["--pol-amplitude", "-100", "--v2", "10", "--v1", "inf"], "--v1"),
         ("synth", ["--design", "{design}", "--seed", "-1"], "--seed"),
+        pytest.param("simulate", ["--points", str(HUGE)], "--points", id="points-huge"),
+        pytest.param("synth", ["--design", "{design}", "--seed", str(HUGE)], "--seed", id="seed-huge"),
     ],
 )
 def test_flag_bad_number_exits_2(command, flags, flag, config_path, tmp_path, capsys):
@@ -972,6 +978,21 @@ def test_flag_bad_number_exits_2(command, flags, flag, config_path, tmp_path, ca
     code = main([command, "--config", config_path, *flags, "--out", str(out)])
     assert code == 2
     assert_one_error_line(capsys, flag)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"rng_seed": 1' + "0" * 5000 + "}", id="integer-of-5001-digits"),
+        pytest.param('{"prism_n": "\xe9"}', id="latin-1-byte"),
+    ],
+)
+def test_unreadable_config_exits_2(text, tmp_path, capsys):
+    # json raises a plain ValueError for these, not JSONDecodeError
+    config = tmp_path / "unreadable.json"
+    config.write_bytes(text.encode("latin-1"))
+    assert main(["constants", "--config", str(config)]) == 2
+    assert_one_error_line(capsys, str(config), "invalid JSON")
 
 
 def test_narrow_window_exits_1(tmp_path, capsys):

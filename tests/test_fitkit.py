@@ -63,9 +63,33 @@ def test_non_finite_context_and_start_are_refused_by_name(bad):
 
 def test_an_infinite_window_is_refused():
     # it used to give NaN averages and a fit that returned converged False
-    ctx = dataclasses.replace(model_context(), width_sigmas=math.inf)
     with pytest.raises(ValueError, match="width_sigmas must be positive and finite"):
-        af.fit(af.ObservationSet(zero_noise_observations(), ctx))
+        dataclasses.replace(model_context(), support=af.VelocitySupport(width_sigmas=math.inf))
+
+
+@settings(max_examples=20)
+@given(
+    s_parallel=st.floats(5.5, 14.0),
+    coeff=st.floats(0.5e-4, 2.5e-4),
+    width=st.sampled_from([6.5, 7.0, 9.0, 10.5]),
+    nodes=st.sampled_from([301, 385, 513]),
+)
+def test_model_curve_window_follows_the_speed_ratio(s_parallel, coeff, width, nodes):
+    # one relative window in the context, placed on the beam at each trial S:
+    # the curve is the on - off entries of one average on that beam, bit for bit
+    support = af.VelocitySupport(width_sigmas=width, node_count=nodes)
+    ctx = dataclasses.replace(model_context(), support=support)
+    volts = np.linspace(0.0, math.sqrt(20.0 / coeff), 7)[1:]
+    phases, ratios = af.model_curve(s_parallel, coeff, volts, ctx)
+    sag = ctx.sagnac_amplitude_at_mean
+    curve = af.averaged_fringe(
+        [af.DispersivePhaseTerm(1.0, 1)],
+        af.BeamModel(ctx.beam_u, s_parallel),
+        ctx.support,
+        scales=np.concatenate([[sag], sag - coeff * volts**2]),
+    )
+    assert np.array_equal(phases, curve.phase_unwrapped[1:] - curve.phase_unwrapped[0])
+    assert np.array_equal(ratios, curve.visibility[1:] / curve.visibility[0])
 
 
 def model_point(s_parallel, coeff_per_U2, voltage_U, ctx):

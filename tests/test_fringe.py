@@ -102,8 +102,7 @@ def test_visibility_decay_is_delayed_by_opposing_term():
 
 
 def test_phase_bounded_by_mean_inverse_velocity():
-    sup = af.default_support(BEAM)
-    v = np.linspace(sup.v_min, sup.v_max, 200_001)
+    v = np.linspace(*af.VelocitySupport().bounds(BEAM), 200_001)
     mean_uv = np.trapezoid(af.velocity_pdf(BEAM, v) * (BEAM.u / v), v)
     for amp in (-5.0, -25.0, -60.0, 40.0):
         ob = af.averaged_fringe([T(amp)], BEAM)
@@ -154,7 +153,7 @@ def test_doubling_diagnostic_fires_on_coarse_grid():
     broad = af.BeamModel(u=1065.7, s_parallel=5.0)
     with pytest.raises(af.QuadratureConvergenceError, match="raise node_count"):
         af.averaged_fringe([T(-25.0)], broad)
-    sup = af.default_support(broad, node_count=1025)
+    sup = af.VelocitySupport(node_count=1025)
     ob = af.averaged_fringe([T(-25.0)], broad, support=sup)
     assert ob.visibility < 0.3  # deep but healthy
 
@@ -177,7 +176,7 @@ def test_node_doubling_agreement_through_deep_amplitudes():
         zs = []
         for n in (257, 513):
             ob = af.averaged_fringe(
-                terms, BEAM, support=af.default_support(BEAM, node_count=n),
+                terms, BEAM, support=af.VelocitySupport(node_count=n),
                 unwrap=False,
             )
             zs.append(ob.visibility * np.exp(1j * ob.phase))
@@ -224,11 +223,11 @@ def test_window_mass_check():
     with pytest.raises(af.QuadratureConvergenceError, match="speed ratio 3;"):
         af.averaged_fringe([], af.BeamModel(u=BEAM.u, s_parallel=3.0))
     with pytest.raises(af.QuadratureConvergenceError, match="widen width_sigmas"):
-        af.averaged_fringe([], BEAM, support=af.default_support(BEAM, width_sigmas=4.0))
+        af.averaged_fringe([], BEAM, support=af.VelocitySupport(width_sigmas=4.0))
     # just past both thresholds (S about 4.25, width about 6.1 sigma)
     ob = af.averaged_fringe([], af.BeamModel(u=BEAM.u, s_parallel=4.3))
     assert abs(ob.visibility - 1.0) <= af.QUADRATURE_TOL
-    ob = af.averaged_fringe([], BEAM, support=af.default_support(BEAM, width_sigmas=6.2))
+    ob = af.averaged_fringe([], BEAM, support=af.VelocitySupport(width_sigmas=6.2))
     assert abs(ob.visibility - 1.0) <= af.QUADRATURE_TOL
 
 

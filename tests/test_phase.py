@@ -1,5 +1,6 @@
 """Phase-term constructors, hardware conversions, and constants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,27 @@ def test_mirror_motion_refuses_non_finite_velocities(name, bad):
     velocities = {"v1": 0.0, "v3": 0.0, name: bad}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         af.MirrorMotion(**velocities)
+
+
+@pytest.mark.parametrize(
+    "kind, name, bad",
+    [
+        ("geometry", "latitude", math.nan),
+        ("geometry", "earth_rotation_rate", math.nan),
+        ("geometry", "earth_rotation_rate", math.inf),
+        ("geometry", "k_laser", math.inf),
+        ("geometry", "grating_separation_L", math.inf),
+        ("capacitor", "geometry_factor_G", math.inf),
+        ("prism", "refractive_index_n", math.nan),
+        ("prism", "refractive_index_n", math.inf),
+    ],
+)
+def test_physics_types_refuse_non_finite_fields_by_name(kind, name, bad):
+    # each used to build: omega_y read nan, a mirror plan came out at rest
+    # and the prism ratio read nan
+    valid = {"geometry": GEO, "capacitor": CAP, "prism": af.PrismGeometry()}[kind]
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+        dataclasses.replace(valid, **{name: bad})
 
 
 def test_prism_ratio_reduced_form():
