@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -364,48 +365,50 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> tuple[Obse
 def read_observations(path: str) -> tuple[Observation, ...]:
     """Read an observation CSV, validating header and every field."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file, expected header") from None
-        if header != OBSERVATION_HEADER:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid CSV: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}:1: empty file, expected header") from None
+    if header != OBSERVATION_HEADER:
+        raise ParseError(
+            f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}"
+        )
+    observations = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(OBSERVATION_HEADER):
             raise ParseError(
-                f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}"
+                f"{path}:{lineno}: expected {len(OBSERVATION_HEADER)} fields, got {len(row)}"
             )
-        observations = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(OBSERVATION_HEADER):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(OBSERVATION_HEADER)} fields, got {len(row)}"
-                )
-            values = {}
-            for name, cell in zip(OBSERVATION_HEADER, row):
-                try:
-                    values[name] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: field '{name}': not a number: {cell!r}"
-                    ) from None
-                _number(values[name], f"{path}:{lineno}: field '{name}'")
+        values = {}
+        for name, cell in zip(OBSERVATION_HEADER, row):
             try:
-                observations.append(
-                    Observation(
-                        voltage_U=values["U_volts"],
-                        phase_meas=values["phase_rad"],
-                        phase_sigma=values["phase_sigma_rad"],
-                        vis_ratio=values["vis_ratio"],
-                        vis_sigma=values["vis_sigma"],
-                    )
+                values[name] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: field '{name}': not a number: {cell!r}"
+                ) from None
+            _number(values[name], f"{path}:{lineno}: field '{name}'")
+        try:
+            observations.append(
+                Observation(
+                    voltage_U=values["U_volts"],
+                    phase_meas=values["phase_rad"],
+                    phase_sigma=values["phase_sigma_rad"],
+                    vis_ratio=values["vis_ratio"],
+                    vis_sigma=values["vis_sigma"],
                 )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return tuple(observations)
 
 
@@ -464,10 +467,15 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+# a curve of N points is one N x (2n + 1) complex block: 82 MB at the
+# default 257 nodes and 330 MB at 1025
+MAX_SWEEP_POINTS = 10_000
+
+
 def _voltage_grid(args) -> list[float]:
     if args.voltages is not None:
         return _parse_float_list(args.voltages, "--voltages")
-    points = _number(args.points, "--points", integer=True, least=1)
+    points = _number(args.points, "--points", integer=True, least=1, most=MAX_SWEEP_POINTS)
     return list(np.linspace(0.0, args.u_max, points))
 
 

@@ -29,10 +29,13 @@ most 1e-12 on the default 8-sigma window when it is not clamped at
 than QUADRATURE_TOL of the beam's Gaussian mass outside (speed ratios
 below about 4.25 at the default width, or width_sigmas below about 6.1)
 raises QuadratureConvergenceError instead of reporting that mass as
-lost visibility.  The n-node rule and its Kronrod extension are built
-together once per n; the 2n + 1 nodes, with the density folded into
-both rules' weights and the powers of u/v evaluated on them, are built
-once per (beam, support) and cached; the window is relative to the beam
+lost visibility.  The default order's n-node rule and its Kronrod
+extension ship with the package as data written from the build and are
+read once per process; for every other n they are built on first use
+(about 35 ms at 257 nodes, more for larger n) and cached.  The 2n + 1
+nodes, with the density folded into both rules' weights and the powers
+of u/v evaluated on them, are built once per (beam, support) and
+cached; the window is relative to the beam
 (VelocitySupport.bounds), so a call without a support finds the default
 window's nodes under the key (beam, VelocitySupport()).
 
@@ -78,10 +81,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from .beam import BeamModel, VelocitySupport, velocity_pdf
+from .beam import DEFAULT_NODE_COUNT, BeamModel, VelocitySupport, velocity_pdf
 from .phase import DispersivePhaseTerm
 
 __all__ = [
@@ -141,10 +145,32 @@ class FringeCurve:
     dlogz_dspeed_ratio: np.ndarray
 
 
+# the rule _build_kronrod(DEFAULT_NODE_COUNT) returns, written from the
+# build by np.save(path, np.concatenate(_build_kronrod(257))): the 515
+# abscissae, the 257 Gauss weights and the 515 Kronrod weights
+_STORED_RULE = Path(__file__).with_name(f"kronrod_{DEFAULT_NODE_COUNT}.npy")
+
+
 @lru_cache(maxsize=64)
 def _kronrod(n: int):
     """Read-only n-node Gauss-Legendre rule on [-1, 1] and its Kronrod
-    extension: (the 2n + 1 abscissae, the n Gauss nodes of numpy's
+    extension, as _build_kronrod(n) returns it: read from _STORED_RULE
+    for the default order, built for every other n."""
+    if n != DEFAULT_NODE_COUNT:
+        return _build_kronrod(n)
+    rule = np.load(_STORED_RULE)
+    if rule.dtype != np.dtype("<f8") or rule.shape != (5 * n + 2,):
+        raise RuntimeError(
+            f"{_STORED_RULE}: expected {5 * n + 2} little-endian float64 values, "
+            f"got shape {rule.shape} of dtype {rule.dtype}"
+        )
+    rule.setflags(write=False)
+    return rule[: 2 * n + 1], rule[2 * n + 1 : 3 * n + 1], rule[3 * n + 1 :]
+
+
+def _build_kronrod(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1] and its Kronrod extension,
+    read-only: (the 2n + 1 abscissae, the n Gauss nodes of numpy's
     leggauss(n) first, then the n + 1 Kronrod nodes; the n Gauss weights;
     the Kronrod weights on all 2n + 1), by Laurie's algorithm (Math.
     Comp. 66:1133, 1997) for the Legendre weight.

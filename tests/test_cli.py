@@ -968,6 +968,10 @@ def test_readme_library_example_runs():
         ("residual", ["--pol-amplitude", "-100", "--v2", "10", "--v1", "inf"], "--v1"),
         ("synth", ["--design", "{design}", "--seed", "-1"], "--seed"),
         pytest.param("simulate", ["--points", str(HUGE)], "--points", id="points-huge"),
+        pytest.param("simulate", ["--points", str(2**63)], "--points", id="points-2**63"),
+        pytest.param(
+            "simulate", ["--points", str(cli.MAX_SWEEP_POINTS + 1)], "--points", id="points-over-bound"
+        ),
         pytest.param("synth", ["--design", "{design}", "--seed", str(HUGE)], "--seed", id="seed-huge"),
     ],
 )
@@ -1031,6 +1035,15 @@ def test_obs_bad_cell_names_line_and_field(config_path, tmp_path, capsys):
     assert "bad.csv:3" in err
     assert "phase_rad" in err
     assert "oops" in err
+
+
+def test_obs_not_utf8_exits_2(config_path, tmp_path, capsys):
+    obs = tmp_path / "latin1.csv"
+    header = ",".join(OBSERVATION_HEADER)
+    obs.write_bytes(f"{header}\n100,-1.0,0.05,0.9,0.005\n200,\xe9,0.05,0.7,0.005\n".encode("latin-1"))
+    code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", "-"])
+    assert code == 2
+    assert_one_error_line(capsys, str(obs), "invalid CSV", "0xe9")
 
 
 def test_obs_short_row_exits_2(config_path, tmp_path, capsys):

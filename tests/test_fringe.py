@@ -8,6 +8,10 @@ resolution as a cross-implementation check.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import atomfringe as af
 import _oracles as orc
 from atomfringe import fringe
+from atomfringe.beam import DEFAULT_NODE_COUNT
 from _support import BEAM, SAG_AMP
 
 T = lambda a, e=1: af.DispersivePhaseTerm(amplitude_at_mean=a, exponent=e)
@@ -189,10 +194,68 @@ def test_kronrod_rule(n):
     # the (2n + 1)-node rule of the convergence check, built afresh (the
     # suite turns the RuntimeWarning of an underflowing build into an
     # error, and Laurie's moments underflow above n = 540 unless rescaled)
-    x, w_gauss, w = fringe._kronrod.__wrapped__(n)
+    x, w_gauss, w = fringe._build_kronrod(n)
     x_gauss, w_leggauss = np.polynomial.legendre.leggauss(n)
     assert np.array_equal(x[:n], x_gauss)
     assert np.array_equal(w_gauss, w_leggauss)
+    assert_kronrod_extension(x, w, x_gauss)
+
+
+def test_stored_kronrod_rule():
+    # the default order's rule is read from the package, not built; it was
+    # written from the build, so it is a Kronrod rule and agrees with a
+    # fresh build to a few ulps (bit for bit on the LAPACK that wrote it)
+    n = DEFAULT_NODE_COUNT
+    stored = fringe._kronrod.__wrapped__(n)
+    assert all(not a.flags.writeable and a.dtype == np.float64 for a in stored)
+    x, w_gauss, w = stored
+    assert (x.size, w_gauss.size, w.size) == (2 * n + 1, n, 2 * n + 1)
+    x_built, w_gauss_built, w_built = fringe._build_kronrod(n)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(x - x_built) <= 4 * eps)
+    assert np.all(np.abs(w_gauss - w_gauss_built) <= 4 * eps * w_gauss_built)
+    assert np.all(np.abs(w - w_built) <= 4 * eps * w_built)
+    x_gauss = np.polynomial.legendre.leggauss(n)[0]
+    assert_kronrod_extension(x, w, x_gauss)
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        pytest.param(np.zeros(1286), r"expected 1287 .* got shape \(1286,\)", id="short"),
+        pytest.param(np.zeros(1287, dtype=np.float32), "of dtype float32", id="float32"),
+        pytest.param(np.zeros((3, 429)), r"got shape \(3, 429\)", id="2d"),
+    ],
+)
+def test_stored_kronrod_rule_is_checked(rule, message, tmp_path, monkeypatch):
+    path = tmp_path / "kronrod_257.npy"
+    np.save(path, rule)
+    monkeypatch.setattr(fringe, "_STORED_RULE", path)
+    with pytest.raises(RuntimeError, match=message):
+        fringe._kronrod.__wrapped__(DEFAULT_NODE_COUNT)
+
+
+def test_default_average_reads_the_stored_rule():
+    # a fresh interpreter's first default average builds no rule: the
+    # build is the only user of numpy.polynomial (leggauss)
+    code = (
+        "import sys, atomfringe as af\n"
+        "af.averaged_fringe([af.DispersivePhaseTerm(-25.0, 1)],"
+        " af.BeamModel(u=1065.7, s_parallel=7.67))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    src = str(Path(fringe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+
+
+def assert_kronrod_extension(x, w, x_gauss):
+    """x, w (2n + 1 nodes) extend the n-node Gauss rule x_gauss: interlaced,
+    positive weights summing to 2, exact to degree 3n + 1."""
+    n = x_gauss.size
     order = np.argsort(x)
     x, w = x[order], w[order]
     assert x.size == 2 * n + 1
