@@ -301,19 +301,55 @@ def load_design(path: str) -> SyntheticDesign:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+@lru_cache(maxsize=1)
+def _true_curve(s_parallel, coeff_per_U2, voltages, context):
+    """model_curve(s_parallel, coeff_per_U2, voltages, context) as read-only
+    arrays, kept for the last arguments: every seed of a recovery study
+    on one config and design asks for this same curve.  The cache lives
+    in the process, so separate ``atomfringe synth`` processes gain
+    nothing from it; a curve that raises is not kept and raises again.
+    """
+    curve = model_curve(s_parallel, coeff_per_U2, voltages, context)
+    for a in curve:
+        a.setflags(write=False)
+    return curve
+
+
+def _noisy(rng, phases, ratios, design: SyntheticDesign):
+    """(phase, phase sigma, vis_ratio) arrays: the true phases and ratios
+    plus one rng.normal call over every channel that draws, point by
+    point, phase before visibility; a channel of sigma 0 draws nothing
+    and gains + 0.0."""
+    ph_sigma = design.phase_sigma_base + design.phase_sigma_per_rad * np.abs(phases)
+    sigmas = np.empty((ph_sigma.size, 2))
+    sigmas[:, 0] = ph_sigma
+    sigmas[:, 1] = design.vis_sigma
+    draws = sigmas > 0.0
+    noise = np.zeros_like(sigmas)
+    noise[draws] = rng.normal(0.0, sigmas[draws])
+    return phases + noise[:, 0], ph_sigma, ratios + noise[:, 1]
+
+
 def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> tuple[Observation, ...]:
     """Simulate the measurement protocol and add seeded Gaussian noise.
 
-    Per voltage: true (phase, vis_ratio) from the velocity-averaged
-    model with the configured Sagnac term, then one Gaussian draw per
-    noisy channel in fixed order (rotation jitter, phase, visibility).
-    Without rotation jitter the whole design is one model curve.
-    Deterministic for a fixed (config.rng_seed, design).  Any number of
-    voltages is written; a fit needs an ObservationSet, which wants 3.
+    True (phase, vis_ratio) come from the velocity-averaged model with
+    the configured Sagnac term.  Without rotation jitter the whole
+    design is one model curve, kept for the next call with the same
+    beam, coefficient, voltages and context (a new seed on one config
+    and design computes no curve), and its noise is one Gaussian draw
+    over every noisy channel, point by point, phase before visibility.
+    With rotation jitter each voltage draws its jitter, gets a model
+    curve of its own at that rotation amplitude, then draws its phase
+    and visibility noise.  Deterministic for a fixed (config.rng_seed,
+    design).  Any number of voltages is written; a fit needs an
+    ObservationSet, which wants 3.
 
     Raises ValueError for rotation jitter when the config leaves the
     rotation term out (include_sagnac false): there is no rotation
-    phase for the jitter to act on.
+    phase for the jitter to act on; and, naming the voltage and the
+    noise keys, for a noisy point outside what an Observation accepts
+    (a visibility ratio drawn below 0).
     """
     jittered = design.rotation_jitter > 0.0
     if jittered and not config.include_sagnac:
@@ -324,41 +360,44 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> tuple[Obse
     rng = np.random.default_rng(config.rng_seed)
     ctx = config.model_context()
     coeff = config.stark_coefficient()
-    beam = config.beam
-    sag_nominal = ctx.sagnac_amplitude_at_mean
-    amp_per_rate = (
-        2.0
-        * config.geometry.k_grating
-        * config.geometry.grating_separation_L**2
-        / beam.u
-    )
+    s_parallel = config.beam.s_parallel
 
-    if not jittered:
-        phases, ratios = model_curve(beam.s_parallel, coeff, design.voltages, ctx)
-    observations = []
-    for i, volt in enumerate(design.voltages):
-        if jittered:
-            sag_i = sag_nominal + amp_per_rate * rng.normal(0.0, design.rotation_jitter)
-            point_ctx = replace(ctx, sagnac_amplitude_at_mean=sag_i)
-            point_phase, point_ratio = model_curve(beam.s_parallel, coeff, (volt,), point_ctx)
-            phase_true, vis_true = float(point_phase[0]), float(point_ratio[0])
-        else:
-            phase_true, vis_true = float(phases[i]), float(ratios[i])
-
-        ph_sigma = design.phase_sigma_base + design.phase_sigma_per_rad * abs(phase_true)
-        phase = phase_true + (rng.normal(0.0, ph_sigma) if ph_sigma > 0.0 else 0.0)
-        vis = vis_true + (
-            rng.normal(0.0, design.vis_sigma) if design.vis_sigma > 0.0 else 0.0
+    if jittered:
+        amp_per_rate = (
+            2.0
+            * config.geometry.k_grating
+            * config.geometry.grating_separation_L**2
+            / config.beam.u
         )
-        observations.append(
-            Observation(
-                voltage_U=volt,
-                phase_meas=phase,
-                phase_sigma=ph_sigma if ph_sigma > 0.0 else 1.0,
-                vis_ratio=vis,
-                vis_sigma=design.vis_sigma if design.vis_sigma > 0.0 else 1.0,
+        points = []
+        for volt in design.voltages:
+            sag = ctx.sagnac_amplitude_at_mean + amp_per_rate * rng.normal(
+                0.0, design.rotation_jitter
             )
-        )
+            point_ctx = replace(ctx, sagnac_amplitude_at_mean=sag)
+            curve = model_curve(s_parallel, coeff, (volt,), point_ctx)
+            points.append(_noisy(rng, *curve, design))
+        phase, ph_sigma, vis = map(np.concatenate, zip(*points))
+    else:
+        curve = _true_curve(s_parallel, coeff, design.voltages, ctx)
+        phase, ph_sigma, vis = _noisy(rng, *curve, design)
+
+    vis_sigma = design.vis_sigma if design.vis_sigma > 0.0 else 1.0
+    observations = []
+    for volt, ph, sigma, ratio in zip(
+        design.voltages, phase.tolist(), ph_sigma.tolist(), vis.tolist()
+    ):
+        try:
+            observations.append(
+                Observation(volt, ph, sigma if sigma > 0.0 else 1.0, ratio, vis_sigma)
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"design voltages_V entry {volt!r}: {exc} after the noise draw "
+                f"(vis_sigma {design.vis_sigma!r}, phase_sigma_base_rad "
+                f"{design.phase_sigma_base!r}, phase_sigma_per_rad "
+                f"{design.phase_sigma_per_rad!r})"
+            ) from exc
     return tuple(observations)
 
 
@@ -380,36 +419,36 @@ def read_observations(path: str) -> tuple[Observation, ...]:
         raise ParseError(
             f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}"
         )
-    observations = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(OBSERVATION_HEADER):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(OBSERVATION_HEADER)} fields, got {len(row)}"
-            )
-        values = {}
-        for name, cell in zip(OBSERVATION_HEADER, row):
-            try:
-                values[name] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: field '{name}': not a number: {cell!r}"
-                ) from None
-            _number(values[name], f"{path}:{lineno}: field '{name}'")
+    numbered = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+    # a well-formed file is checked a column at a time; otherwise the rows
+    # are read one by one, so the first bad row in file order is reported
+    try:
+        table = np.array([[float(cell) for cell in row] for _, row in numbered])
+        if table.shape == (len(numbered), len(OBSERVATION_HEADER)) and np.isfinite(table).all():
+            return tuple(Observation(*values) for values in table.tolist())
+    except ValueError:
+        pass
+    return tuple(_observation_row(path, lineno, row) for lineno, row in numbered)
+
+
+def _observation_row(path: str, lineno: int, row: list[str]) -> Observation:
+    """One observation CSV row as an Observation; ParseError naming path,
+    line and, for a bad cell, its field otherwise."""
+    if len(row) != len(OBSERVATION_HEADER):
+        raise ParseError(
+            f"{path}:{lineno}: expected {len(OBSERVATION_HEADER)} fields, got {len(row)}"
+        )
+    values = []
+    for name, cell in zip(OBSERVATION_HEADER, row):
         try:
-            observations.append(
-                Observation(
-                    voltage_U=values["U_volts"],
-                    phase_meas=values["phase_rad"],
-                    phase_sigma=values["phase_sigma_rad"],
-                    vis_ratio=values["vis_ratio"],
-                    vis_sigma=values["vis_sigma"],
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return tuple(observations)
+            values.append(float(cell))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: field '{name}': not a number: {cell!r}") from None
+        _number(values[-1], f"{path}:{lineno}: field '{name}'")
+    try:
+        return Observation(*values)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
 def write_observations(path: str, observations) -> None:

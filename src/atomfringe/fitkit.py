@@ -149,34 +149,41 @@ class FitResult:
 _UNIT_TERM = (DispersivePhaseTerm(amplitude_at_mean=1.0, exponent=1),)
 
 
-def _model_pass(s_parallel, coeff_per_U2, voltages, context: ModelContext):
-    """Model (phase, vis_ratio) over voltages plus their exact derivatives.
+def _model_pass(s_parallel, coeff_per_U2, u2, context: ModelContext):
+    """Model (phase, vis_ratio) at the squared voltages u2 plus their exact
+    derivatives.
 
-    Returns phases, ratios and two (len(voltages), 2) arrays holding
-    d phase and d ratio with respect to (s_parallel, coeff_per_U2).
-    Row 0 of the averaged curve is the off state (the rotation term
-    alone), the rest are the on states.
+    Returns model, an (len(u2), 2) array of (phase, vis_ratio) rows, and
+    dmodel, (len(u2), 2, 2), where dmodel[i, j] is the derivative of
+    model[i, j] with respect to (s_parallel, coeff_per_U2): the layout of
+    the fit's interleaved residuals.  Row 0 of the averaged curve is the
+    off state (the rotation term alone), the rest are the on states.
     """
     beam = BeamModel(u=context.beam_u, s_parallel=s_parallel)
-    u2 = np.asarray(voltages, dtype=float) ** 2
     sag = context.sagnac_amplitude_at_mean
     curve = averaged_fringe(
         _UNIT_TERM, beam, context.support,
         scales=np.concatenate([[sag], sag - coeff_per_U2 * u2]),
     )
-    phases = curve.phase_unwrapped[1:] - curve.phase_unwrapped[0]
-    ratios = curve.visibility[1:] / curve.visibility[0]
-    g = curve.dlogz_dspeed_ratio[1:] - curve.dlogz_dspeed_ratio[0]
-    h = -u2 * curve.dlogz_dscale[1:]  # d ln Z_on / d coeff
-    dphase = np.column_stack([g.imag, h.imag])
-    dratio = ratios[:, None] * np.column_stack([g.real, h.real])
-    return phases, ratios, dphase, dratio
+    model = np.empty((u2.size, 2))
+    np.subtract(curve.phase_unwrapped[1:], curve.phase_unwrapped[0], out=model[:, 0])
+    np.divide(curve.visibility[1:], curve.visibility[0], out=model[:, 1])
+    # d ln Z_on / d (s_parallel, coeff): the imaginary part is the phase
+    # derivative, the real part that of ln vis_ratio
+    dlogz = np.empty((u2.size, 2), dtype=complex)
+    np.subtract(curve.dlogz_dspeed_ratio[1:], curve.dlogz_dspeed_ratio[0], out=dlogz[:, 0])
+    np.multiply(-u2, curve.dlogz_dscale[1:], out=dlogz[:, 1])
+    dmodel = np.empty((u2.size, 2, 2))
+    dmodel[:, 0] = dlogz.imag
+    np.multiply(model[:, 1:], dlogz.real, out=dmodel[:, 1])
+    return model, dmodel
 
 
 def model_curve(s_parallel, coeff_per_U2, voltages, context: ModelContext):
     """Model (phase, vis_ratio) arrays over voltages, sharing the off state."""
-    phases, ratios, _, _ = _model_pass(s_parallel, coeff_per_U2, voltages, context)
-    return phases, ratios
+    u2 = np.asarray(voltages, dtype=float) ** 2
+    model, _ = _model_pass(s_parallel, coeff_per_U2, u2, context)
+    return model[:, 0], model[:, 1]
 
 
 def _default_initial(obs_set: ObservationSet) -> tuple[float, float]:
@@ -220,11 +227,9 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     """
     obs = obs_set.observations
     context = obs_set.context
-    volts = np.array([o.voltage_U for o in obs])
-    ph_meas = np.array([o.phase_meas for o in obs])
-    ph_sig = np.array([o.phase_sigma for o in obs])
-    vis_meas = np.array([o.vis_ratio for o in obs])
-    vis_sig = np.array([o.vis_sigma for o in obs])
+    u2 = np.array([o.voltage_U for o in obs]) ** 2
+    measured = np.array([(o.phase_meas, o.vis_ratio) for o in obs])
+    sigmas = np.array([(o.phase_sigma, o.vis_sigma) for o in obs])
 
     if initial is None:
         initial = _default_initial(obs_set)
@@ -236,17 +241,16 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     # optimize in initial-value units so both gradient components are
     # comparable
     scale = np.array([abs(s0), max(abs(c0), 1e-6)])
-    sigmas = np.column_stack([ph_sig, vis_sig])
 
     def evaluate(x):
-        """Raw (phase, vis) misfits, weighted residuals, exact Jacobian."""
+        """Raw (phase, vis) misfits, weighted residuals, exact Jacobian,
+        both with the phase and visibility entries of each observation
+        interleaved."""
         s_par, coeff = x * scale
-        phases, ratios, dphase, dratio = _model_pass(s_par, coeff, volts, context)
-        misfit = np.column_stack([ph_meas - phases, vis_meas - ratios])
-        jac = np.empty((2 * len(obs), 2))
-        jac[0::2] = -dphase * scale / ph_sig[:, None]
-        jac[1::2] = -dratio * scale / vis_sig[:, None]
-        return misfit, (misfit / sigmas).ravel(), jac
+        model, dmodel = _model_pass(s_par, coeff, u2, context)
+        misfit = measured - model
+        jac = -dmodel * scale / sigmas[:, :, None]
+        return misfit, (misfit / sigmas).ravel(), jac.reshape(-1, 2)
 
     x = np.array([s0, c0]) / scale
     misfit, r, J = evaluate(x)

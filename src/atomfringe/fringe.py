@@ -229,9 +229,10 @@ def _build_kronrod(n: int):
 @lru_cache(maxsize=64)
 def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
     """Read-only arrays on the 2n + 1 nodes v of the Gauss-Kronrod grid,
-    the n Gauss nodes first: (powers, w P, w_K P, d ln P / d S), where
-    powers[e] = (u/v)^e for e = 0, 1, 2 on every node, w P and d ln P / d S
-    are on the Gauss nodes only and the Kronrod weights w_K P on all.
+    the n Gauss nodes first: (powers, w P, w_K P, w P d ln P / d S), where
+    powers[e] = (u/v)^e for e = 0, 1, 2 on every node, w P and
+    w P d ln P / d S are on the Gauss nodes only and the Kronrod weights
+    w_K P on all.
     Raises QuadratureConvergenceError when more than QUADRATURE_TOL of
     the beam lies outside the window.
     """
@@ -262,21 +263,17 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
     # d ln P / d S at fixed u; the window's own motion with S only
     # moves mass that the truncation already neglects
     dlogp = 1.0 / beam.s_parallel - 2.0 * beam.s_parallel * ((v[:n] - beam.u) / beam.u) ** 2
-    # both weight arrays complex (zero imaginary part): a product with a
+    # the weight arrays complex (zero imaginary part): a product with a
     # complex row then skips the cast numpy would make on every call
-    nodes = (
-        powers,
-        (half * w * pdf[:n]).astype(complex),
-        (half * w_kronrod * pdf).astype(complex),
-        dlogp,
-    )
+    wp = (half * w * pdf[:n]).astype(complex)
+    nodes = (powers, wp, (half * w_kronrod * pdf).astype(complex), wp * dlogp)
     for a in nodes:
         a.setflags(write=False)
     return nodes
 
 
 def _phase_profile(terms, beam, support):
-    """The one pass over terms: (l1, phi, w P, w_K P, d ln P / d S), where
+    """The one pass over terms: (l1, phi, w P, w_K P, w P d ln P / d S), where
     phi = sum_e net_e (u/v)^e on every node (0 for no terms), l1 =
     sum_e |net_e| and the rest is _weighted_nodes(beam, support)."""
     net = {}
@@ -284,13 +281,13 @@ def _phase_profile(terms, beam, support):
         net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
     # bounds the averaged polynomial itself; 0 at a tuned null (no walk)
     l1 = float(sum(map(abs, net.values())))
-    powers, wp, wkp, dlogp = _weighted_nodes(beam, support)
+    powers, wp, wkp, wp_dlogp = _weighted_nodes(beam, support)
     items = iter(net.items())
     exponent, amplitude = next(items, (0, 0.0))
     phi = amplitude * powers[exponent]
     for exponent, amplitude in items:
         phi += amplitude * powers[exponent]
-    return l1, phi, wp, wkp, dlogp
+    return l1, phi, wp, wkp, wp_dlogp
 
 
 def _exp_i(phase):
@@ -368,36 +365,40 @@ def _unwrap(s, principal, l1, phi, wp):
     (lo, lo_args), (hi, hi_args) = (
         _walk_side(end, l1, phi, wp) for end in (min(s[0], 0.0), max(s[-1], 0.0))
     )
+    # the path keeps the order it is built in (factor 0 first, the
+    # factors of s at start: start + s.size, bisection midpoints appended)
+    # and is only ranked by a stable sort on each pass
     path = np.concatenate([[0.0], lo, hi, s])
     args = np.concatenate([[0.0], lo_args, hi_args, principal])
-    requested = np.arange(path.size) > lo.size + hi.size  # the entries of s
+    start = 1 + lo.size + hi.size
     for _ in range(_MAX_REFINE_PASSES):
         order = path.argsort(kind="stable")
-        path, args, requested = path[order], args[order], requested[order]
         # each step between neighbours crosses the 2 pi branches that bring
         # it nearest to 0; what is left of it must stay under pi/2
-        step = args[1:] - args[:-1]
+        ranked_args = args[order]
+        step = ranked_args[1:] - ranked_args[:-1]
         turns = np.rint(step / _TWO_PI)
         jumps = np.abs(step - _TWO_PI * turns) > _MAX_STEP_RAD
         if not jumps.any():
             break
-        mids = 0.5 * (path[:-1][jumps] + path[1:][jumps])
+        ranked_path = path[order]
+        mids = 0.5 * (ranked_path[:-1][jumps] + ranked_path[1:][jumps])
         path = np.concatenate([path, mids])
         args = np.concatenate([args, np.angle(_exp_i(mids[:, None] * phi) @ wp)])
-        requested = np.concatenate([requested, np.zeros(mids.size, dtype=bool)])
     else:
         raise QuadratureConvergenceError(
             "phase continuation did not stabilize; the averaged phase jumps by "
             "more than pi/2 at every refinement depth (visibility null too sharp)"
         )
-    # branches crossed from the start of the path, counted from factor 0
-    # (arg exactly 0, kept first among the zeros by the stable sort)
-    crossed = np.zeros(path.size)
-    turns.cumsum(out=crossed[1:])
-    crossed -= crossed[np.searchsorted(path, 0.0)]
-    # the principal value of an exactly computed row, on the walk's branch;
-    # s is sorted and distinct, so its factors lie on the path in its order
-    return principal - _TWO_PI * crossed[requested]
+    # branches crossed from the start of the ranked path, put back in build
+    # order and counted from factor 0 (entry 0: arg exactly 0, ranked
+    # first among the zeros)
+    ranked_crossed = np.zeros(path.size)
+    turns.cumsum(out=ranked_crossed[1:])
+    crossed = np.empty(path.size)
+    crossed[order] = ranked_crossed
+    # the principal value of an exactly computed row, on the walk's branch
+    return principal - _TWO_PI * (crossed[start : start + s.size] - crossed[0])
 
 
 def _plain(terms, beam, support, unwrap):
@@ -463,7 +464,7 @@ def averaged_fringe(
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
         raise ValueError("scales must be a non-empty sequence of finite numbers")
-    l1, phi, wp, wkp, dlogp = _phase_profile(terms, beam, support)
+    l1, phi, wp, wkp, wp_dlogp = _phase_profile(terms, beam, support)
     n = wp.size
 
     # equal factors (0.0 and -0.0 too) share one row, so they give
@@ -491,7 +492,10 @@ def averaged_fringe(
         distinct = np.empty(s.size)
         distinct[inv] = principal
         unwrapped = _unwrap(s, distinct, l1, phi[:n], wp)[inv]
-    sums = rows[:, :n] @ np.column_stack([wp * phi[:n], wp * dlogp])
+    weights = np.empty((n, 2), dtype=complex)
+    np.multiply(wp, phi[:n], out=weights[:, 0])
+    weights[:, 1] = wp_dlogp
+    sums = rows[:, :n] @ weights
     return FringeCurve(
         visibility=vis,
         phase=principal,

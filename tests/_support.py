@@ -88,10 +88,8 @@ def exact_and_forward_jacobian(x, volts, ctx, ph, ra, rel_step=1e-6):
         mp, mr = af.model_curve(x[0], x[1] * coeff_unit[1], volts, ctx)
         return (np.column_stack([mp - ph, mr - ra]) / sigmas).ravel()
 
-    _, _, dphase, dratio = _model_pass(x[0], x[1] * coeff_unit[1], volts, ctx)
-    exact = np.empty((2 * len(volts), 2))
-    exact[0::2] = dphase * coeff_unit / sigmas[0]
-    exact[1::2] = dratio * coeff_unit / sigmas[1]
+    _, dmodel = _model_pass(x[0], x[1] * coeff_unit[1], np.asarray(volts) ** 2, ctx)
+    exact = (dmodel * coeff_unit / sigmas[:, None]).reshape(-1, 2)
     r0 = residuals(x)
     forward = np.empty_like(exact)
     for k in range(x.size):

@@ -292,16 +292,9 @@ def test_synth_rejects_duplicate_design_voltages(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_synth_jittered_file_is_rebuilt_by_hand(config_path, tmp_path):
-    # the per-point path: for each voltage draw the rotation jitter, then
-    # the phase noise, then the visibility noise, from one seeded stream,
-    # with one model curve per point at the jittered rotation amplitude
-    doc = design_doc(phase_sigma_per_rad=0.01, rotation_jitter_rad_per_s=2e-5)
-    design = write_config(tmp_path, doc, "jitter.json")
-    out = tmp_path / "obs.csv"
-    argv = ["synth", "--config", config_path, "--design", design, "--seed", "7"]
-    assert main([*argv, "--out", str(out)]) == 0
-
+def synth_truth():
+    """(beam, coeff, Sagnac amplitude, amplitude per rotation rate) of
+    base_config(), computed from the physics functions."""
     beam = af.BeamModel(u=1065.7, s_parallel=S_TRUE)
     geo = af.InterferometerGeometry(
         k_laser=9.364e6,
@@ -312,6 +305,20 @@ def test_synth_jittered_file_is_rebuilt_by_hand(config_path, tmp_path):
     coeff = -af.polarizability_term(cap, ALPHA_TRUE, 1.0, beam).amplitude_at_mean
     sag = af.sagnac_earth_term(geo, beam).amplitude_at_mean
     amp_per_rate = 2.0 * geo.k_grating * geo.grating_separation_L**2 / beam.u
+    return beam, coeff, sag, amp_per_rate
+
+
+def test_synth_jittered_file_is_rebuilt_by_hand(config_path, tmp_path):
+    # the per-point path: for each voltage draw the rotation jitter, then
+    # the phase noise, then the visibility noise, from one seeded stream,
+    # with one model curve per point at the jittered rotation amplitude
+    doc = design_doc(phase_sigma_per_rad=0.01, rotation_jitter_rad_per_s=2e-5)
+    design = write_config(tmp_path, doc, "jitter.json")
+    out = tmp_path / "obs.csv"
+    argv = ["synth", "--config", config_path, "--design", design, "--seed", "7"]
+    assert main([*argv, "--out", str(out)]) == 0
+
+    beam, coeff, sag, amp_per_rate = synth_truth()
     rng = np.random.default_rng(7)
     rows = []
     for volt in doc["voltages_V"]:
@@ -327,6 +334,111 @@ def test_synth_jittered_file_is_rebuilt_by_hand(config_path, tmp_path):
     rebuilt = tmp_path / "rebuilt.csv"
     write_observations(str(rebuilt), rows)
     assert rebuilt.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"phase_sigma_per_rad": 0.01},
+        {"phase_sigma_base_rad": 0.0, "phase_sigma_per_rad": 0.02},
+        {"vis_sigma": 0.0},
+    ],
+    ids=["both-channels", "phase-sigma-per-rad-only", "noiseless-visibility"],
+)
+def test_synth_file_is_rebuilt_by_hand(overrides, config_path, tmp_path):
+    # the jitter-free path: one model curve for the design, then for each
+    # voltage a scalar draw of the phase noise before one of the
+    # visibility noise, from one seeded stream; a channel of sigma 0 draws
+    # nothing and its sigma column reads 1
+    doc = design_doc(**overrides)
+    design = write_config(tmp_path, doc, "design.json")
+    out = tmp_path / "obs.csv"
+    argv = ["synth", "--config", config_path, "--design", design, "--seed", "7"]
+    assert main([*argv, "--out", str(out)]) == 0
+
+    beam, coeff, sag, _ = synth_truth()
+    ctx = af.ModelContext(beam_u=beam.u, sagnac_amplitude_at_mean=sag)
+    phases, ratios = af.model_curve(S_TRUE, coeff, doc["voltages_V"], ctx)
+    rng = np.random.default_rng(7)
+    vis_sigma = doc["vis_sigma"]
+    per_rad = doc.get("phase_sigma_per_rad", 0.0)
+    rows = []
+    for volt, phase, vis in zip(doc["voltages_V"], phases.tolist(), ratios.tolist()):
+        ph_sigma = doc["phase_sigma_base_rad"] + per_rad * abs(phase)
+        phase += rng.normal(0.0, ph_sigma) if ph_sigma > 0.0 else 0.0
+        vis += rng.normal(0.0, vis_sigma) if vis_sigma > 0.0 else 0.0
+        rows.append(
+            af.Observation(volt, phase, ph_sigma or 1.0, vis, vis_sigma or 1.0)
+        )
+    rebuilt = tmp_path / "rebuilt.csv"
+    write_observations(str(rebuilt), rows)
+    assert rebuilt.read_bytes() == out.read_bytes()
+
+
+def test_synth_out_of_range_noise_names_the_voltage_and_key(config_path, tmp_path, capsys):
+    # seed 0 draws a visibility ratio below 0 at the 27th voltage
+    volts = np.linspace(10.0, 560.0, 30).tolist()
+    doc = design_doc(voltages_V=volts, phase_sigma_base_rad=0.0, vis_sigma=0.05)
+    design = write_config(tmp_path, doc, "wide.json")
+    out = tmp_path / "obs.csv"
+    argv = ["synth", "--config", config_path, "--design", design, "--seed", "0"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "vis_ratio", "voltages_V", repr(volts[26]), "vis_sigma 0.05")
+    assert not out.exists()
+
+
+def count_model_curves(monkeypatch):
+    """The list of argument tuples of every cli.model_curve call from now on."""
+    calls = []
+    real = cli.model_curve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "model_curve", counted)
+    return calls
+
+
+def test_synth_true_curve_is_kept_for_the_next_seed(monkeypatch):
+    cli._true_curve.cache_clear()
+    calls = count_model_curves(monkeypatch)
+    design = cli.SyntheticDesign(
+        voltages=(100.0, 200.0, 300.0), phase_sigma_base=0.05, vis_sigma=0.005
+    )
+    first = cli.generate_synthetic(run_config(1), design)
+    second = cli.generate_synthetic(run_config(2), design)
+    assert len(calls) == 1  # a second seed on one config and design
+    assert first != second
+    # each of beam, support, coefficient and voltages is part of the key
+    config = run_config(2)
+    changed = [
+        (dataclasses.replace(config, beam=af.BeamModel(u=1065.7, s_parallel=8.0)), design),
+        (dataclasses.replace(config, beam=af.BeamModel(u=1100.0, s_parallel=S_TRUE)), design),
+        (dataclasses.replace(config, support=af.VelocitySupport(node_count=301)), design),
+        (dataclasses.replace(config, alpha_m3=1.1 * ALPHA_TRUE), design),
+        (config, dataclasses.replace(design, voltages=(100.0, 200.0, 310.0))),
+    ]
+    for n, (changed_config, changed_design) in enumerate(changed, start=2):
+        cli.generate_synthetic(changed_config, changed_design)
+        assert len(calls) == n
+    phases, ratios = cli._true_curve(*calls[-1])
+    for a in (phases, ratios):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_synth_true_curve_that_raises_raises_again(monkeypatch):
+    cli._true_curve.cache_clear()
+    calls = count_model_curves(monkeypatch)
+    # a 4-sigma window cuts the beam: the average refuses it
+    config = run_config(3, support=af.VelocitySupport(width_sigmas=4.0))
+    design = cli.SyntheticDesign(voltages=(100.0, 200.0, 300.0), vis_sigma=0.005)
+    for n in (1, 2):
+        with pytest.raises(af.QuadratureConvergenceError):
+            cli.generate_synthetic(config, design)
+        assert len(calls) == n
 
 
 # ---------------------------------------------------------------------- fit
@@ -1086,6 +1198,40 @@ def test_obs_non_finite_cell_exits_2(field, cell, config_path, tmp_path, capsys)
     code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", "-"])
     assert code == 2
     assert_one_error_line(capsys, "obs.csv:3", field)
+
+
+ROW_FAULTS = {
+    "not-a-number": (1, "oops"),
+    "non-finite": (0, "inf"),
+    "short": (None, None),
+    "vis-out-of-range": (3, "1.5"),
+    "zero-sigma": (2, "0"),
+}
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [(a, b) for a in ROW_FAULTS for b in ROW_FAULTS if a != b],
+)
+def test_obs_first_bad_row_is_reported(first, later, tmp_path):
+    # whatever the two faults are, the one earlier in the file is named
+    rows = [
+        ["100", "-1.0", "0.05", "0.9", "0.005"],
+        ["200", "-4.0", "0.05", "0.7", "0.005"],
+        ["300", "-9.0", "0.05", "0.5", "0.005"],
+        ["400", "-16.0", "0.05", "0.3", "0.005"],
+    ]
+    for index, fault in ((1, first), (3, later)):
+        field, cell = ROW_FAULTS[fault]
+        if field is None:
+            rows[index].pop()
+        else:
+            rows[index][field] = cell
+    obs = tmp_path / "obs.csv"
+    lines = [",".join(row) for row in [OBSERVATION_HEADER, *rows]]
+    obs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(cli.ParseError, match=r"obs\.csv:3: "):
+        read_observations(str(obs))
 
 
 # the exit contract under malformed numbers: every command exits 0 with
