@@ -29,6 +29,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -73,10 +74,6 @@ OBSERVATION_HEADER = ["U_volts", "phase_rad", "phase_sigma_rad", "vis_ratio", "v
 
 class ParseError(ValueError):
     """A config, design, or observation file is malformed."""
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 @dataclass(frozen=True)
@@ -460,26 +457,72 @@ def write_observations(path: str, observations) -> None:
     _write_csv(path, OBSERVATION_HEADER, rows)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    # a non-finite number is not JSON: ValueError (exit 1), not Infinity
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+class _NotPlainJSON(Exception):
+    """A value _write_json leaves to json.dumps."""
+
+
+def _json_value(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2) writes it at the depth of
+    indent ("\n" plus its spaces), for the types a report holds, through
+    the stdlib encoder's own pieces; _NotPlainJSON for anything else
+    (a non-finite float, a non-str key, another type)."""
+    # json tests str, None, True, False and int first, but no float is
+    # any of those, so the most common value is tested first here
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise _NotPlainJSON
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in value]) + indent + "]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_value(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise _NotPlainJSON
+
+
+def _write_text(path: str, text: str, newline: str | None = None) -> None:
+    """text to path ('-' for stdout) in one write, the file opened only
+    once the text is complete, so a command that fails writes no file."""
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
             fh.write(text)
 
 
-def _write_csv(path, header, rows) -> None:
-    out = sys.stdout if path == "-" else open(path, "w", newline="", encoding="utf-8")
+def _write_json(path: str, payload: dict) -> None:
+    """json.dumps(payload, indent=2, allow_nan=False) + "\n" to path."""
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        text = _json_value(payload, "\n") + "\n"
+    except (_NotPlainJSON, RecursionError):
+        # json.dumps itself, with its errors: a non-finite number is not
+        # JSON (ValueError, exit 1), not Infinity
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    _write_text(path, text)
+
+
+def _write_csv(path, header, rows) -> None:
+    # what csv.writer(lineterminator="\n") writes: no cell these commands
+    # write holds a comma, quote or line break, so none is quoted; every
+    # number with 17 significant digits
+    lines = [",".join(header)]
+    lines += [",".join([c if isinstance(c, str) else "%.17g" % c for c in row]) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n", newline="")
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -580,9 +623,13 @@ def _cmd_fit(args) -> int:
     }
     _write_json(args.out, payload)
     if not result.converged:
+        # a loop that ends before max_iterations without converging ended
+        # because no damping up to its limit gave an acceptable step
+        limit = f"max_iterations = {config.max_iterations}"
+        if result.iterations < config.max_iterations:
+            limit = f"the damping ran out after {result.iterations} accepted steps, before {limit}"
         print(
-            f"error: fit did not converge (max_iterations = "
-            f"{config.max_iterations}); the report has no sigmas",
+            f"error: fit did not converge ({limit}); the report has no sigmas",
             file=sys.stderr,
         )
         return 1

@@ -203,6 +203,14 @@ def _default_initial(obs_set: ObservationSet) -> tuple[float, float]:
     return 8.0, coeff0
 
 
+def _gradient_small(g, cost: float) -> bool:
+    """max|g| <= _GTOL * max(1, cost) for the 2-vector g, on its entries as
+    Python floats; false for a NaN entry, as np.max(np.abs(g)) made it."""
+    tol = _GTOL * max(1.0, cost)
+    g0, g1 = g.tolist()
+    return abs(g0) <= tol and abs(g1) <= tol
+
+
 def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         chi2_scaling: bool = True) -> FitResult:
     """Joint weighted fit of (s_parallel, coeff_per_U2).
@@ -262,18 +270,21 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
 
     for _ in range(max_iterations):
         g = J.T @ r
-        if np.max(np.abs(g)) <= _GTOL * max(1.0, cost):
+        if _gradient_small(g, cost):
             break
         N = J.T @ J
-        d = np.diag(N)
-        if np.any(d <= 0.0):
+        (n00, n01), (n10, n11) = N.tolist()
+        if n00 <= 0.0 or n11 <= 0.0:  # a NaN passes, as np.any(d <= 0) let it
             raise FitError(
                 "singular normal matrix: a parameter does not affect the model"
             )
+        minus_g = -g
         stepped = False
         while lam <= _LAM_MAX:
+            # N + lam diag(N), the off-diagonal entries as they are
+            damped = np.array([[n00 + lam * n00, n01], [n10, n11 + lam * n11]])
             try:
-                dx = np.linalg.solve(N + lam * np.diag(d), -g)
+                dx = np.linalg.solve(damped, minus_g)
             except np.linalg.LinAlgError as exc:
                 raise FitError("singular damped normal matrix") from exc
             x_try = x + dx
@@ -304,8 +315,7 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
 
     # the accepted evaluation's Jacobian is the linearization at the
     # reported optimum: convergence flag and covariance both come from it
-    g = J.T @ r
-    converged = stalled or bool(np.max(np.abs(g)) <= _GTOL * max(1.0, cost))
+    converged = stalled or _gradient_small(J.T @ r, cost)
     N = J.T @ J
     try:
         cov_x = np.linalg.inv(N)
@@ -336,7 +346,7 @@ def parameter_uncertainties(result: FitResult) -> tuple[float, float]:
     if not result.converged:
         raise FitError("uncertainties require a converged fit")
     cov = result.covariance
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(cov, cov.T):
         raise FitError("covariance is not symmetric")
     eigs = np.linalg.eigvalsh(cov)
     if eigs[0] < -1e-12 * max(abs(eigs[-1]), 1.0):

@@ -53,9 +53,10 @@ checks and reports each entry through the plain call's scalar check and
 report, in input order, so an entry at factor 1 is bit-identical to the
 plain call and the first failing entry raises the plain call's error.
 Every exactly computed row (plain, curve, the walk's first row and the
-bisection midpoints) is built one way: the phase is written into the
-imaginary part of a zeroed complex buffer, which is exponentiated in
-place, so no 1j * phi temporary is made.
+bisection midpoints) is built one way: np.cos and np.sin of the phase
+are written into the real and imaginary parts of one uninitialised
+complex buffer, the values numpy's complex exp of i phi gives without
+its exp(0) and complex multiply per node.
 
 Phases beyond the principal branch are recovered by continuation: the
 whole term list is scaled from 0 to its factor in steps small enough
@@ -291,12 +292,13 @@ def _phase_profile(terms, beam, support):
 
 
 def _exp_i(phase):
-    """exp(i phase) elementwise, for every exactly computed row: the phase
-    goes into the imaginary part of a zeroed complex buffer, which is
-    exponentiated in place, so no 1j * phase temporary is made."""
-    rows = np.zeros(phase.shape, dtype=complex)
-    rows.imag = phase
-    return np.exp(rows, out=rows)
+    """exp(i phase) elementwise, for every exactly computed row: cos phase
+    and sin phase written into the real and imaginary parts of one complex
+    buffer (exactly 1 + 0j at phase 0), with no 1j * phase temporary."""
+    rows = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=rows.real)
+    np.sin(phase, out=rows.imag)
+    return rows
 
 
 def _report(z: complex, zk: complex, n: int, unwrap: bool):

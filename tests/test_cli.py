@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import atomfringe as af
-from atomfringe import cli
+from atomfringe import cli, fitkit
 from atomfringe.cli import OBSERVATION_HEADER, main, read_observations, write_observations
 from _support import ALPHA_TRUE, BEAM, C_TRUE, GEO, S_TRUE, run_config
 
@@ -555,6 +555,129 @@ def test_fit_not_converged_exits_1(tmp_path, capsys):
     doc = json.loads(report.read_text(encoding="utf-8"))
     assert doc["converged"] is False
     assert doc["sigma_s_parallel"] is None
+
+
+def test_fit_that_runs_out_of_damping_says_so(config_path, tmp_path, monkeypatch, capsys):
+    # every trial pass after the first evaluation raises, so the damping
+    # climbs past its limit with no accepted step, long before
+    # max_iterations (200): the line must name the damping
+    design = write_config(tmp_path, design_doc(), "design.json")
+    obs = tmp_path / "obs.csv"
+    report = tmp_path / "fit.json"
+    assert main(["synth", "--config", config_path, "--design", design, "--out", str(obs)]) == 0
+    capsys.readouterr()
+    passes = []
+    model_pass = fitkit._model_pass
+
+    def first_pass_only(*args):
+        passes.append(args)
+        if len(passes) > 1:
+            raise af.QuadratureConvergenceError("velocity average not converged")
+        return model_pass(*args)
+
+    monkeypatch.setattr(fitkit, "_model_pass", first_pass_only)
+    code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == (
+        "error: fit did not converge (the damping ran out after 0 accepted steps, "
+        "before max_iterations = 200); the report has no sigmas"
+    )
+    assert len(passes) > 2
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["converged"] is False
+    assert doc["iterations"] == 0
+    assert doc["sigma_s_parallel"] is None
+
+
+# ------------------------------------------------------------ file writers
+
+# what a report may hold, with the edge values of the float and int
+# reprs and strings that need escapes
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2**63, -(2**63) - 1])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\u00e9", "\u2028", "\U0001f600", "a\"b\\c\n\t\x00"])
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(payload=st.dictionaries(st.text(max_size=8), _JSON_TREES, max_size=6))
+def test_json_writer_is_the_stdlib_layout(payload, tmp_path_factory):
+    out = tmp_path_factory.getbasetemp() / "writer_report.json"
+    cli._write_json(str(out), payload)
+    expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["top", "list", "nested dict"])
+def test_json_writer_refuses_a_non_finite_number_and_writes_nothing(bad, where, tmp_path):
+    payload = {
+        "top": {"a": 1.0, "b": bad},
+        "list": {"a": [1.0, [2.0, bad]]},
+        "nested dict": {"a": {"b": [{"c": bad}]}},
+    }[where]
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps(payload, indent=2, allow_nan=False)
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError) as ours:
+        cli._write_json(str(out), payload)
+    assert str(ours.value) == str(stdlib.value)
+    assert not out.exists()
+
+
+def _csv_module_text(header, rows):
+    """The CSV text the writer produced with the csv module: each number
+    formatted as f"{float(x):.17g}", str cells as they are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else f"{float(c):.17g}" for c in row])
+    return buf.getvalue()
+
+
+_CSV_NUMBERS = (
+    st.floats()
+    | st.floats().map(np.float64)
+    | st.integers(min_value=-(2**60), max_value=2**60)
+    | st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308])
+)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        ["quantity", "value"],
+        ["U_volts", "phase_rad", "vis_ratio"],
+        OBSERVATION_HEADER,
+        ["v1_amplitude_rad", "v2_amplitude_rad", "residual_phase_rad", "visibility_ratio"],
+    ],
+    ids=["constants", "simulate", "synth", "residual"],
+)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_csv_writer_is_the_csv_module_layout(header, data, tmp_path_factory):
+    width = len(header)
+    if header[0] == "quantity":  # constants: a name, then its value
+        row = st.tuples(st.sampled_from(["sagnac_amplitude_rad", "omega_y_rad_per_s"]), _CSV_NUMBERS)
+    else:
+        row = st.tuples(*[_CSV_NUMBERS] * width)
+    rows = data.draw(st.lists(row, max_size=16))
+    out = tmp_path_factory.getbasetemp() / f"writer_{header[0]}.csv"
+    cli._write_csv(str(out), header, iter(rows))
+    assert out.read_bytes() == _csv_module_text(header, rows).encode("utf-8")
 
 
 # --------------------------------------------------------------------- tune

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import atomfringe as af
+from atomfringe.cli import generate_synthetic
 from _support import (
-    C_TRUE, PHASE_SIGMA, S_TRUE, SAG_AMP, VIS_SIGMA, VOLTS,
-    exact_and_forward_jacobian, model_context, observation_set, zero_noise_observations,
+    C_TRUE, DESIGN, PHASE_SIGMA, S_TRUE, SAG_AMP, VIS_SIGMA, VOLTS,
+    exact_and_forward_jacobian, model_context, observation_set, run_config,
+    zero_noise_observations,
 )
 
 # frozen from tests/_oracles.py
@@ -321,3 +323,30 @@ def test_uncertainties_positive_and_finite():
     assert 0.0 < s_sig < 1.0
     assert 0.0 < c_sig < 1e-4
     assert math.isfinite(res.chi_square)
+
+
+def test_sigmas_are_calibrated_on_the_canonical_design():
+    # N = 300 seeds (5000-5299, none used by another test) and the bounds
+    # below were fixed before the first run.  For a calibrated fit each
+    # pull (fit - truth) / sigma is a unit normal, and chi-square has 28
+    # degrees of freedom (15 points x 2 channels - 2 parameters).  Every
+    # bound is 5 standard errors: 1/sqrt(N) for a pull mean, 1/sqrt(2N)
+    # for a pull std, sqrt(2 * 28 / N) for the mean chi-square, so the
+    # five checks together fail by chance with probability about 3e-6.
+    n = 300
+    pulls, chi2 = [], []
+    for seed in range(5000, 5000 + n):
+        config = run_config(seed)
+        obs_set = af.ObservationSet(generate_synthetic(config, DESIGN), config.model_context())
+        result = af.fit(obs_set, chi2_scaling=False)
+        assert result.converged, f"seed {seed} did not converge"
+        sigmas = af.parameter_uncertainties(result)
+        pulls.append(
+            [(result.s_parallel - S_TRUE) / sigmas[0], (result.coeff_per_U2 - C_TRUE) / sigmas[1]]
+        )
+        chi2.append(result.chi_square)
+    pulls = np.array(pulls)
+    dof = 2 * len(VOLTS) - 2
+    assert np.all(np.abs(pulls.mean(axis=0)) <= 5.0 / math.sqrt(n)), pulls.mean(axis=0)
+    assert np.all(np.abs(pulls.std(axis=0) - 1.0) <= 5.0 / math.sqrt(2 * n)), pulls.std(axis=0)
+    assert abs(np.mean(chi2) - dof) <= 5.0 * math.sqrt(2 * dof / n), np.mean(chi2)

@@ -510,3 +510,28 @@ def test_curve_matches_the_independent_oracle_at_every_factor(s_par, terms, fact
             scaled = [(f * a, e) for a, e in terms]
             want[f] = orc.unwrapped_phase(scaled, beam.u, s_par, nodes=20_001)
         assert abs(got - want[f]) <= 10.0 * af.QUADRATURE_TOL / vis, f
+
+
+@settings(max_examples=200)
+@given(
+    phase=st.lists(
+        st.floats(min_value=-400.0, max_value=400.0) | st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_exp_i_rows_are_the_complex_exp(phase):
+    phase = np.array(phase)
+    rows = fringe._exp_i(phase)
+    exact = np.exp(1j * phase)
+    np.testing.assert_array_max_ulp(rows.real, exact.real, maxulp=1)
+    np.testing.assert_array_max_ulp(rows.imag, exact.imag, maxulp=1)
+    # a row of a block is the row on its own
+    block = fringe._exp_i(np.stack([phase, -phase]))
+    assert block[0].tobytes() == rows.tobytes()
+
+
+def test_exp_i_is_exactly_one_at_phase_zero():
+    rows = fringe._exp_i(np.zeros((2, 5)))
+    assert rows.dtype == complex and rows.shape == (2, 5)
+    assert rows.tobytes() == np.ones((2, 5), dtype=complex).tobytes()
