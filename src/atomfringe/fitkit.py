@@ -205,7 +205,7 @@ def _default_initial(obs_set: ObservationSet) -> tuple[float, float]:
 
 def _gradient_small(g, cost: float) -> bool:
     """max|g| <= _GTOL * max(1, cost) for the 2-vector g, on its entries as
-    Python floats; false for a NaN entry, as np.max(np.abs(g)) made it."""
+    Python floats; false when an entry is NaN."""
     tol = _GTOL * max(1.0, cost)
     g0, g1 = g.tolist()
     return abs(g0) <= tol and abs(g1) <= tol
@@ -274,7 +274,7 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
             break
         N = J.T @ J
         (n00, n01), (n10, n11) = N.tolist()
-        if n00 <= 0.0 or n11 <= 0.0:  # a NaN passes, as np.any(d <= 0) let it
+        if n00 <= 0.0 or n11 <= 0.0:  # a NaN entry is not refused here
             raise FitError(
                 "singular normal matrix: a parameter does not affect the model"
             )
