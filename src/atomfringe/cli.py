@@ -134,6 +134,8 @@ class SyntheticDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
+        if not self.voltages:  # it would write a header-only file
+            raise ValueError("design voltages must not be empty")
         if len(set(self.voltages)) != len(self.voltages):
             raise ValueError("design voltages must be distinct")
         for name in ("phase_sigma_base", "phase_sigma_per_rad", "vis_sigma", "rotation_jitter"):
@@ -339,7 +341,7 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> tuple[Obse
     With rotation jitter each voltage draws its jitter, gets a model
     curve of its own at that rotation amplitude, then draws its phase
     and visibility noise.  Deterministic for a fixed (config.rng_seed,
-    design).  Any number of voltages is written; a fit needs an
+    design).  One or more voltages are written; a fit needs an
     ObservationSet, which wants 3.
 
     Raises ValueError for rotation jitter when the config leaves the
@@ -417,14 +419,6 @@ def read_observations(path: str) -> tuple[Observation, ...]:
             f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}"
         )
     numbered = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
-    # a well-formed file is checked a column at a time; otherwise the rows
-    # are read one by one, so the first bad row in file order is reported
-    try:
-        table = np.array([[float(cell) for cell in row] for _, row in numbered])
-        if table.shape == (len(numbered), len(OBSERVATION_HEADER)) and np.isfinite(table).all():
-            return tuple(Observation(*values) for values in table.tolist())
-    except ValueError:
-        pass
     return tuple(_observation_row(path, lineno, row) for lineno, row in numbered)
 
 
@@ -438,10 +432,12 @@ def _observation_row(path: str, lineno: int, row: list[str]) -> Observation:
     values = []
     for name, cell in zip(OBSERVATION_HEADER, row):
         try:
-            values.append(float(cell))
+            value = float(cell)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: field '{name}': not a number: {cell!r}") from None
-        _number(values[-1], f"{path}:{lineno}: field '{name}'")
+        if not math.isfinite(value):  # the message is _number's
+            _number(value, f"{path}:{lineno}: field '{name}'")
+        values.append(value)
     try:
         return Observation(*values)
     except ValueError as exc:

@@ -14,7 +14,10 @@ fit() minimizes
     sum_i [ (phase_i - model)^2 / phase_sigma_i^2
           + (vis_i - model)^2 / vis_sigma_i^2 ]
 
-by Levenberg-Marquardt with the exact Jacobian.  Every voltage's total
+by Levenberg-Marquardt with the exact Jacobian, started (unless the
+caller gives a start) at s_parallel = 8 and at the least-squares slope
+of -phase against U^2 through the origin, each point weighted by
+1 / phase_sigma^2.  Every voltage's total
 amplitude sag - coeff * U^2 multiplies the same u/v profile, so one
 velocity average of that profile at all amplitudes (a FringeCurve)
 gives the residuals and, from d ln Z / d amplitude and
@@ -186,23 +189,6 @@ def model_curve(s_parallel, coeff_per_U2, voltages, context: ModelContext):
     return model[:, 0], model[:, 1]
 
 
-def _default_initial(obs_set: ObservationSet) -> tuple[float, float]:
-    """Heuristic start: s_parallel = 8, coeff from the smallest voltages.
-
-    The coefficient seed is the origin-constrained least-squares slope
-    of -phase against U^2 over the three smallest nonzero voltages (the
-    voltages are distinct, so at least two of them are nonzero).
-    """
-    nonzero = sorted(
-        (o for o in obs_set.observations if o.voltage_U != 0.0),
-        key=lambda o: abs(o.voltage_U),
-    )[:3]
-    u2 = np.array([o.voltage_U**2 for o in nonzero])
-    ph = np.array([o.phase_meas for o in nonzero])
-    coeff0 = float(-(u2 @ ph) / (u2 @ u2))
-    return 8.0, coeff0
-
-
 def _gradient_small(g, cost: float) -> bool:
     """max|g| <= _GTOL * max(1, cost) for the 2-vector g, on its entries as
     Python floats; false when an entry is NaN."""
@@ -219,8 +205,9 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     ----------
     obs_set : ObservationSet
     initial : (float, float), optional
-        Starting (s_parallel, coeff_per_U2); defaults to the documented
-        heuristic.
+        Starting (s_parallel, coeff_per_U2); defaults to s_parallel = 8
+        and the phase-sigma-weighted, origin-constrained least-squares
+        slope of -phase against U^2 over every observation.
     max_iterations : int
         Levenberg-Marquardt iterations before giving up (converged =
         False unless the gradient criterion happens to hold there).
@@ -240,7 +227,9 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     sigmas = np.array([(o.phase_sigma, o.vis_sigma) for o in obs])
 
     if initial is None:
-        initial = _default_initial(obs_set)
+        # the voltages are distinct, so at most one U^2 is 0 and w @ u2 > 0
+        w = u2 / sigmas[:, 0] ** 2
+        initial = 8.0, -(w @ measured[:, 0]) / (w @ u2)
     s0, c0 = float(initial[0]), float(initial[1])
     if not 1.0 < s0 < math.inf:
         raise ValueError(f"initial s_parallel must be finite and exceed 1, got {s0}")

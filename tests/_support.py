@@ -74,6 +74,32 @@ def run_config(seed=0, **overrides):
     )
 
 
+def random_design(rng, seed):
+    """(config, design) of one random synthetic measurement, its
+    parameters drawn from rng: S 5-12, u 700-1500 m/s, a coefficient
+    that puts 5-35 rad at the top voltage of 420 V, 5-20 voltages evenly
+    spaced up to 420 V, phase sigma 0.01-0.1 rad plus 0-0.01 per rad,
+    vis sigma 0.002-0.02; the config's rng_seed is seed."""
+    s_parallel = rng.uniform(5.0, 12.0)
+    u = rng.uniform(700.0, 1500.0)
+    coeff = rng.uniform(5.0, 35.0) / 420.0**2
+    n_volts = int(rng.integers(5, 21))
+    design = SyntheticDesign(
+        voltages=tuple(np.linspace(0.0, 420.0, n_volts + 1)[1:]),
+        phase_sigma_base=rng.uniform(0.01, 0.1),
+        phase_sigma_per_rad=rng.uniform(0.0, 0.01),
+        vis_sigma=rng.uniform(0.002, 0.02),
+    )
+    config = RunConfig(
+        geometry=GEO,
+        capacitor=CAP,
+        beam=af.BeamModel(u=u, s_parallel=s_parallel),
+        alpha_m3=af.alpha_from_coefficient(coeff, CAP.geometry_factor_G, u),
+        rng_seed=seed,
+    )
+    return config, design
+
+
 def exact_and_forward_jacobian(x, volts, ctx, ph, ra, rel_step=1e-6):
     """Jacobians of the weighted misfits (model - (ph, ra)) / sigma with
     respect to x = (s_parallel, coeff_per_U2 / 1e-4): the exact one from

@@ -292,6 +292,19 @@ def test_synth_rejects_duplicate_design_voltages(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_refuses_an_empty_design(config_path, tmp_path, capsys):
+    # it used to exit 0 with a header-only file that fit then refused
+    design = write_config(tmp_path, design_doc(voltages_V=[]), "empty.json")
+    out = tmp_path / "obs.csv"
+    code = main(["synth", "--config", config_path, "--design", design, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {design}: design voltages must not be empty"]
+    assert not out.exists()
+    with pytest.raises(ValueError, match="design voltages must not be empty"):
+        cli.SyntheticDesign(voltages=())
+
+
 def synth_truth():
     """(beam, coeff, Sagnac amplitude, amplitude per rotation rate) of
     base_config(), computed from the physics functions."""
@@ -589,6 +602,32 @@ def test_fit_that_runs_out_of_damping_says_so(config_path, tmp_path, monkeypatch
     assert doc["converged"] is False
     assert doc["iterations"] == 0
     assert doc["sigma_s_parallel"] is None
+
+
+def test_fit_converges_where_the_smallest_voltages_are_noise(tmp_path, capsys):
+    # 5.5 rad at the top of 16 voltages: the three smallest phases are
+    # about a sigma each, and a start taken from them alone (0.52x the
+    # coefficient) ran into the S = 4.25 window wall and stopped there;
+    # the start fitted to every point is 1.006x the coefficient
+    doc = base_config()
+    doc["beam"]["s_parallel"] = 6.82
+    doc["alpha_m3"] = af.alpha_from_coefficient(5.5 / 420.0**2, 2.486e5, 1065.7)
+    doc["rng_seed"] = 16
+    config = write_config(tmp_path, doc, "run.json")
+    design = write_config(tmp_path, {
+        "voltages_V": np.linspace(0.0, 420.0, 17)[1:].tolist(),
+        "phase_sigma_base_rad": 0.05,
+        "phase_sigma_per_rad": 0.01,
+        "vis_sigma": 0.01,
+    }, "design.json")
+    obs = tmp_path / "obs.csv"
+    report = tmp_path / "fit.json"
+    assert main(["synth", "--config", config, "--design", design, "--out", str(obs)]) == 0
+    assert main(["fit", "--config", config, "--obs", str(obs), "--out", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    result = json.loads(report.read_text(encoding="utf-8"))
+    assert result["converged"] is True
+    assert result["s_parallel"] > 5.0
 
 
 # ------------------------------------------------------------ file writers
@@ -1188,6 +1227,7 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["plan"].residual_phase == 0.0
     assert len(namespace["phases"]) == 3
+    assert namespace["result"].converged
 
 
 @pytest.mark.parametrize(
