@@ -29,7 +29,6 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -401,7 +400,13 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> tuple[Obse
 
 
 def read_observations(path: str) -> tuple[Observation, ...]:
-    """Read an observation CSV, validating header and every field."""
+    """Read an observation CSV, repeated voltages included; ParseError names
+    the file and line of a bad header, row or field, or an over-long cell."""
+    return tuple(obs for _, obs in _numbered_observations(path))
+
+
+def _numbered_observations(path: str) -> list[tuple[int, Observation]]:
+    """read_observations(path), each observation with its line number."""
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
@@ -411,15 +416,14 @@ def read_observations(path: str) -> tuple[Observation, ...]:
         raise ParseError(f"{path}: invalid CSV: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}:1: empty file, expected header") from None
-    if header != OBSERVATION_HEADER:
-        raise ParseError(
-            f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}"
-        )
-    numbered = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
-    return tuple(_observation_row(path, lineno, row) for lineno, row in numbered)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}:1: empty file, expected header")
+        if header != OBSERVATION_HEADER:
+            raise ParseError(f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}")
+        return [(n, _observation_row(path, n, row)) for n, row in enumerate(reader, start=2) if row]
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: invalid CSV: {exc}") from exc
 
 
 def _observation_row(path: str, lineno: int, row: list[str]) -> Observation:
@@ -453,44 +457,6 @@ def write_observations(path: str, observations) -> None:
     _write_csv(path, OBSERVATION_HEADER, rows)
 
 
-class _NotPlainJSON(Exception):
-    """A value _write_json leaves to json.dumps."""
-
-
-def _json_value(value, indent: str) -> str:
-    """value as json.dumps(value, indent=2) writes it at the depth of
-    indent ("\n" plus its spaces), for the types a report holds, through
-    the stdlib encoder's own pieces; _NotPlainJSON for anything else
-    (a non-finite float, a non-str key, another type)."""
-    # json tests str, None, True, False and int first, but no float is
-    # any of those, so the most common value is tested first here
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise _NotPlainJSON
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in value]) + indent + "]"
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_value(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise _NotPlainJSON
-
-
 def _write_text(path: str, text: str, newline: str | None = None) -> None:
     """text to path ('-' for stdout) in one write, the file opened only
     once the text is complete, so a command that fails writes no file."""
@@ -502,14 +468,10 @@ def _write_text(path: str, text: str, newline: str | None = None) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """json.dumps(payload, indent=2, allow_nan=False) + "\n" to path."""
-    try:
-        text = _json_value(payload, "\n") + "\n"
-    except (_NotPlainJSON, RecursionError):
-        # json.dumps itself, with its errors: a non-finite number is not
-        # JSON (ValueError, exit 1), not Infinity
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    _write_text(path, text)
+    """json.dumps(payload, indent=2, allow_nan=False) plus a newline to
+    path, with json's errors: a non-finite number is not JSON (ValueError,
+    exit 1), not Infinity, and no file is written."""
+    _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -583,7 +545,15 @@ def _cmd_fit(args) -> int:
     if args.sagnac is not None:
         config = replace(config, include_sagnac=args.sagnac == "on")
     ctx = config.model_context()
-    observations = read_observations(args.obs)
+    numbered = _numbered_observations(args.obs)
+    lines = {}  # voltage -> the line it is first on
+    for lineno, obs in numbered:
+        if lines.setdefault(obs.voltage_U, lineno) != lineno:  # exit 2, as in a design file
+            raise ParseError(
+                f"{args.obs}:{lineno}: voltage {obs.voltage_U} repeats line "
+                f"{lines[obs.voltage_U]}; observation voltages must be distinct"
+            )
+    observations = [obs for _, obs in numbered]
     obs_set = ObservationSet(observations, ctx)
     result = fit(
         obs_set,

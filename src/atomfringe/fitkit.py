@@ -189,14 +189,6 @@ def model_curve(s_parallel, coeff_per_U2, voltages, context: ModelContext):
     return model[:, 0], model[:, 1]
 
 
-def _gradient_small(g, cost: float) -> bool:
-    """max|g| <= _GTOL * max(1, cost) for the 2-vector g, on its entries as
-    Python floats; false when an entry is NaN."""
-    tol = _GTOL * max(1.0, cost)
-    g0, g1 = g.tolist()
-    return abs(g0) <= tol and abs(g1) <= tol
-
-
 def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         chi2_scaling: bool = True) -> FitResult:
     """Joint weighted fit of (s_parallel, coeff_per_U2).
@@ -259,21 +251,18 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
 
     for _ in range(max_iterations):
         g = J.T @ r
-        if _gradient_small(g, cost):
+        if np.max(np.abs(g)) <= _GTOL * max(1.0, cost):
             break
         N = J.T @ J
-        (n00, n01), (n10, n11) = N.tolist()
-        if n00 <= 0.0 or n11 <= 0.0:  # a NaN entry is not refused here
+        d = np.diag(N)
+        if np.any(d <= 0.0):
             raise FitError(
                 "singular normal matrix: a parameter does not affect the model"
             )
-        minus_g = -g
         stepped = False
         while lam <= _LAM_MAX:
-            # N + lam diag(N), the off-diagonal entries as they are
-            damped = np.array([[n00 + lam * n00, n01], [n10, n11 + lam * n11]])
             try:
-                dx = np.linalg.solve(damped, minus_g)
+                dx = np.linalg.solve(N + lam * np.diag(d), -g)
             except np.linalg.LinAlgError as exc:
                 raise FitError("singular damped normal matrix") from exc
             x_try = x + dx
@@ -304,7 +293,8 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
 
     # the accepted evaluation's Jacobian is the linearization at the
     # reported optimum: convergence flag and covariance both come from it
-    converged = stalled or _gradient_small(J.T @ r, cost)
+    g = J.T @ r
+    converged = stalled or bool(np.max(np.abs(g)) <= _GTOL * max(1.0, cost))
     N = J.T @ J
     try:
         cov_x = np.linalg.inv(N)

@@ -1321,6 +1321,42 @@ def test_obs_not_utf8_exits_2(config_path, tmp_path, capsys):
     assert_one_error_line(capsys, str(obs), "invalid CSV", "0xe9")
 
 
+def test_obs_cell_over_the_csv_field_limit_exits_2(config_path, tmp_path, capsys):
+    # the csv module refuses a cell over 131,072 characters with csv.Error
+    obs = tmp_path / "long.csv"
+    header = ",".join(OBSERVATION_HEADER)
+    long_sigma = "0." + "0" * 199_998 + "5"  # 200,001 characters
+    obs.write_text(
+        f"{header}\n100,-1.0,0.05,0.9,0.005\n200,-4.0,0.05,0.7,{long_sigma}\n"
+        "300,-9.0,0.05,0.5,0.005\n",
+        encoding="utf-8",
+    )
+    report = tmp_path / "r.json"
+    code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", str(report)])
+    assert code == 2
+    assert_one_error_line(capsys, f"{obs}:3: invalid CSV", "field limit")
+    assert not report.exists()
+
+
+def test_obs_repeated_voltage_names_both_lines(config_path, tmp_path, capsys):
+    obs = tmp_path / "dup.csv"
+    header = ",".join(OBSERVATION_HEADER)
+    obs.write_text(
+        f"{header}\n100,-1.0,0.05,0.9,0.005\n200,-4.0,0.05,0.7,0.005\n\n"
+        "100,-1.1,0.05,0.9,0.005\n300,-9.0,0.05,0.5,0.005\n",
+        encoding="utf-8",
+    )
+    report = tmp_path / "r.json"
+    code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", str(report)])
+    assert code == 2
+    assert_one_error_line(
+        capsys, f"{obs}:5: voltage 100.0 repeats line 2; observation voltages must be distinct"
+    )
+    assert not report.exists()
+    # the file itself is well formed: the library reader returns every row
+    assert [o.voltage_U for o in read_observations(str(obs))] == [100.0, 200.0, 100.0, 300.0]
+
+
 def test_obs_short_row_exits_2(config_path, tmp_path, capsys):
     obs = tmp_path / "short.csv"
     header = ",".join(OBSERVATION_HEADER)
