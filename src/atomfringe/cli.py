@@ -27,6 +27,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -477,9 +478,13 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_csv(path, header, rows) -> None:
     # what csv.writer(lineterminator="\n") writes: no cell these commands
     # write holds a comma, quote or line break, so none is quoted; every
-    # number with 17 significant digits
+    # number with 17 significant digits, and, as in a JSON report, finite
     lines = [",".join(header)]
-    lines += [",".join([c if isinstance(c, str) else "%.17g" % c for c in row]) for row in rows]
+    for row in rows:
+        cells = [c if isinstance(c, str) else "%.17g" % c for c in row]
+        if "nan" in cells or "inf" in cells or "-inf" in cells:  # "%.17g" of a non-finite number
+            raise ValueError(f"{path}: a CSV holds finite numbers only, got {', '.join(cells)}")
+        lines.append(",".join(cells))
     _write_text(path, "\n".join(lines) + "\n", newline="")
 
 
@@ -738,10 +743,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # numpy's overflow and invalid-value warnings raise: one line, not a nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RuntimeWarning) as exc:
+        print(f"error: a number went out of the float range: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -199,7 +199,9 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     initial : (float, float), optional
         Starting (s_parallel, coeff_per_U2); defaults to s_parallel = 8
         and the phase-sigma-weighted, origin-constrained least-squares
-        slope of -phase against U^2 over every observation.
+        slope of -phase against U^2 over every observation, its sigmas
+        scaled by the power of two that puts the smallest in [0.5, 1)
+        (the same slope, with weights finite for any sigma).
     max_iterations : int
         Levenberg-Marquardt iterations before giving up (converged =
         False unless the gradient criterion happens to hold there).
@@ -210,7 +212,7 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     Raises
     ------
     FitError
-        On a singular normal matrix.
+        On a singular normal matrix, or for the default start when no U^2 is nonzero.
     """
     obs = obs_set.observations
     context = obs_set.context
@@ -219,8 +221,11 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     sigmas = np.array([(o.phase_sigma, o.vis_sigma) for o in obs])
 
     if initial is None:
-        # the voltages are distinct, so at most one U^2 is 0 and w @ u2 > 0
-        w = u2 / sigmas[:, 0] ** 2
+        # sigmas times a power of two: the same slope, bit for bit, and
+        # weights that stay finite however small the sigmas are
+        w = u2 / np.ldexp(sigmas[:, 0], -np.frexp(sigmas[:, 0].min())[1]) ** 2
+        if not w @ u2 > 0.0:  # every U^2 is 0 in floating point
+            raise FitError("no observation has a nonzero U^2, so coeff_per_U2 does not affect the model")
         initial = 8.0, -(w @ measured[:, 0]) / (w @ u2)
     s0, c0 = float(initial[0]), float(initial[1])
     if not 1.0 < s0 < math.inf:

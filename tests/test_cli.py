@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import atomfringe as af
 from atomfringe import cli, fitkit
 from atomfringe.cli import OBSERVATION_HEADER, main, read_observations, write_observations
-from _support import ALPHA_TRUE, BEAM, C_TRUE, GEO, S_TRUE, run_config
+from _support import ALPHA_TRUE, BEAM, C_TRUE, GEO, S_TRUE, run_config, zero_noise_observations
 
 LATITUDE_DEG = 43.0 + 33.0 / 60.0 + 37.0 / 3600.0
 
@@ -687,9 +687,10 @@ def _csv_module_text(header, rows):
     return buf.getvalue()
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _CSV_NUMBERS = (
-    st.floats()
-    | st.floats().map(np.float64)
+    _FINITE
+    | _FINITE.map(np.float64)
     | st.integers(min_value=-(2**60), max_value=2**60)
     | st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308])
 )
@@ -717,6 +718,19 @@ def test_csv_writer_is_the_csv_module_layout(header, data, tmp_path_factory):
     out = tmp_path_factory.getbasetemp() / f"writer_{header[0]}.csv"
     cli._write_csv(str(out), header, iter(rows))
     assert out.read_bytes() == _csv_module_text(header, rows).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, np.float64(-math.inf)], ids=["nan", "inf", "-inf", "np-inf"]
+)
+def test_csv_writer_refuses_a_non_finite_number_and_writes_nothing(bad, tmp_path):
+    # as a JSON report refuses NaN and Infinity
+    out = tmp_path / "curve.csv"
+    rows = iter([(0.0, 0.0, 1.0), (100.0, bad, 0.9)])
+    written = f"100, {bad}, 0.90000000000000002"  # the row's cells as "%.17g" formats them
+    with pytest.raises(ValueError, match=f"curve.csv: a CSV holds finite numbers only, got {written}$"):
+        cli._write_csv(str(out), ["U_volts", "phase_rad", "vis_ratio"], rows)
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- tune
@@ -1435,7 +1449,7 @@ def test_obs_first_bad_row_is_reported(first, later, tmp_path):
 
 # the exit contract under malformed numbers: every command exits 0 with
 # finite numbers, or exits 1 or 2 with exactly one line on stderr
-MALFORMED = (math.nan, math.inf, -math.inf, True, "1.5", "123", 2.7, -1, 0)
+MALFORMED = (math.nan, math.inf, -math.inf, True, "1.5", "123", 2.7, -1, 0, 1e160, -1e160, 1e-200)
 
 
 UNKNOWN = "unknown_key"  # no SCHEMA row has it
@@ -1528,3 +1542,105 @@ def test_every_command_keeps_the_exit_contract(data, tmp_path_factory):
     else:
         assert code in (1, 2)
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# ------------------------------------------------- out-of-range finite numbers
+
+
+def tiny_voltages_file(tmp_path):
+    # every U^2 underflows to 0, so no point constrains coeff_per_U2
+    obs = tmp_path / "tiny.csv"
+    rows = [f"{v},0.0,0.05,1.0,0.005" for v in ("0", "1e-200", "2e-200")]
+    obs.write_text("\n".join([",".join(OBSERVATION_HEADER), *rows]) + "\n", encoding="utf-8")
+    return str(obs)
+
+
+def small_sigma_file(tmp_path):
+    # the canonical noiseless design, every phase sigma 1e-150 rad
+    obs = tmp_path / "small_sigma.csv"
+    rows = [dataclasses.replace(o, phase_sigma=1e-150) for o in zero_noise_observations()]
+    write_observations(str(obs), rows)
+    return str(obs)
+
+
+RANGE = "a number went out of the float range: "
+# (config override, argv after --config, output name, the error line's
+# start or None for exit 0)
+OUT_OF_RANGE = {
+    "constants-L-1e160": ((("geometry", "L_m"), 1e160), ["constants"], "out.csv", RANGE),
+    "tune-voltage-1e160": (None, ["tune", "--voltage", "1e160"], "out.json", RANGE),
+    "simulate-voltage-1e160": (
+        None, ["simulate", "--voltages", "0,1e160"], "out.csv", RANGE + "overflow encountered in square"
+    ),
+    "simulate-width-1e160": (
+        (("averaging", "width_sigmas"), 1e160), ["simulate", "--voltages", "0,100"], "out.csv", RANGE
+    ),
+    "residual-1e308": (None, ["residual", "--pol-amplitude", "-1e308", "--v2", "1e308"], "out.csv", RANGE),
+    "constants-prism-1e160": (
+        (("prism_n",), 1e160), ["constants"], "out.csv",
+        "{out}: a CSV holds finite numbers only, got prism_dx_over_dz, nan",
+    ),
+    "fit-U2-underflows": (
+        None, ["fit", "--obs", tiny_voltages_file], "out.json",
+        "no observation has a nonzero U^2, so coeff_per_U2 does not affect the model",
+    ),
+    "fit-sigma-1e-150": (None, ["fit", "--obs", small_sigma_file], "out.json", None),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_numbers_keep_the_exit_contract(case, tmp_path, capsys):
+    override, argv, name, line = OUT_OF_RANGE[case]
+    doc = base_config()
+    if override is not None:
+        set_path(doc, *override)
+    out = tmp_path / name
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    code = main([argv[0], "--config", write_config(tmp_path, doc), *argv[1:], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    if line is not None:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: " + line.format(out=out))
+        assert not out.exists()
+    else:
+        assert code == 0 and err == ""
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["converged"] is True
+        assert all(math.isfinite(x) for x in numbers_in(report))
+
+
+# ----------------------------------------- refusals no other test executes
+
+
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        ("[1, 2]", "top level must be a JSON object"),
+        ('{"geometry": 5}', "section 'geometry' must be a JSON object"),
+    ],
+)
+def test_config_that_is_not_an_object_exits_2(text, words, tmp_path, capsys):
+    config = tmp_path / "shape.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["constants", "--config", str(config)]) == 2
+    assert_one_error_line(capsys, str(config), words)
+
+
+@pytest.mark.parametrize("content, words", [(None, "No such file"), ("", ":1: empty file")])
+def test_missing_or_empty_observation_file_exits_2(content, words, config_path, tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    if content is not None:
+        obs.write_text(content, encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert main(["fit", "--config", config_path, "--obs", str(obs), "--out", str(report)]) == 2
+    assert_one_error_line(capsys, str(obs), words)
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "name", ["phase_sigma_base", "phase_sigma_per_rad", "vis_sigma", "rotation_jitter"]
+)
+def test_design_built_from_python_refuses_a_negative_sigma(name):
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        cli.SyntheticDesign(voltages=(100.0,), **{name: -0.01})

@@ -338,6 +338,22 @@ def test_uncertainties_require_convergence():
         af.parameter_uncertainties(stuck)
 
 
+@pytest.mark.parametrize(
+    "covariance, words",
+    [
+        (np.array([[1.0, 0.5], [0.4, 1.0]]), "covariance is not symmetric"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "covariance is not positive semi-definite"),
+    ],
+    ids=["asymmetric", "indefinite"],
+)
+def test_uncertainties_refuse_a_covariance_that_is_not_one(covariance, words):
+    res = af.fit(observation_set(zero_noise_observations()))
+    built = dataclasses.replace(res, covariance=covariance)
+    assert built.converged
+    with pytest.raises(af.FitError, match=words):
+        af.parameter_uncertainties(built)
+
+
 def test_uncertainties_positive_and_finite():
     rng = np.random.default_rng(5)
     noisy = tuple(

@@ -141,6 +141,44 @@ def test_physics_types_refuse_non_finite_fields_by_name(kind, name, bad):
         dataclasses.replace(valid, **{name: bad})
 
 
+@pytest.mark.parametrize(
+    "kind, name, bad, words",
+    [
+        ("geometry", "k_laser", 0.0, "k_laser must be positive"),
+        ("geometry", "k_laser", -1.0, "k_laser must be positive"),
+        ("geometry", "grating_separation_L", 0.0, "grating separation must be positive"),
+        ("geometry", "latitude", 1.5708, "latitude must be in"),
+        ("geometry", "latitude", -2.0, "latitude must be in"),
+        ("geometry", "earth_rotation_rate", -7e-5, "earth_rotation_rate must be non-negative"),
+        ("motion", "max_travel", 0.0, "max_travel must be positive"),
+        ("motion", "max_travel", -1e-6, "max_travel must be positive"),
+        ("prism", "refractive_index_n", 0.99, "refractive index must be >= 1"),
+    ],
+)
+def test_physics_types_refuse_out_of_range_fields(kind, name, bad, words):
+    valid = {"geometry": GEO, "motion": af.MirrorMotion(1e-3, -1e-3), "prism": af.PrismGeometry()}[kind]
+    with pytest.raises(ValueError, match=words):
+        dataclasses.replace(valid, **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "call, words",
+    [
+        (lambda: af.polarizability_term(CAP, 0.0, 100.0, BEAM), "polarizability volume must be"),
+        (lambda: af.polarizability_term(CAP, -1e-30, 100.0, BEAM), "polarizability volume must be"),
+        (lambda: af.polarizability_term(CAP, 1e-30, math.inf, BEAM), "voltage must be finite"),
+        (lambda: af.polarizability_term(CAP, 1e-30, math.nan, BEAM), "voltage must be finite"),
+        (lambda: af.alpha_from_coefficient(1e-4, 0.0, BEAM.u), "geometry factor G must be nonzero"),
+        (lambda: af.required_mirror_velocity(GEO, math.nan, BEAM.u), "target phase must be finite"),
+        (lambda: af.required_mirror_velocity(GEO, -math.inf, BEAM.u), "target phase must be finite"),
+    ],
+    ids=["alpha-0", "alpha-negative", "voltage-inf", "voltage-nan", "G-0", "target-nan", "target-inf"],
+)
+def test_conversions_refuse_out_of_range_arguments(call, words):
+    with pytest.raises(ValueError, match=words):
+        call()
+
+
 def test_prism_ratio_reduced_form():
     assert af.prism_displacement_ratio(af.PrismGeometry(refractive_index_n=1.46)) == \
         pytest.approx(-0.2475, abs=5e-4)
