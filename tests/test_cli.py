@@ -1610,6 +1610,17 @@ def test_out_of_range_numbers_keep_the_exit_contract(case, tmp_path, capsys):
         assert all(math.isfinite(x) for x in numbers_in(report))
 
 
+def test_oversize_continuation_walk_exits_1_with_one_line(tmp_path, capsys):
+    # a Roberts scan whose walk would hold about 5e9 complex values
+    doc = base_config()
+    doc["beam"]["s_parallel"] = 1e8
+    out = tmp_path / "walk.csv"
+    argv = ["residual", "--config", write_config(tmp_path, doc), "--pol-amplitude", "-1", "--v2", "1e7"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "phase continuation too long", "257 nodes")
+    assert not out.exists()
+
+
 # ----------------------------------------- refusals no other test executes
 
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -512,26 +513,111 @@ def test_curve_matches_the_independent_oracle_at_every_factor(s_par, terms, fact
         assert abs(got - want[f]) <= 10.0 * af.QUADRATURE_TOL / vis, f
 
 
+EXP_I_ABS = 2.0**-51  # the half-angle row's absolute bound; libm's is 2^-53
+SPECIAL_PHASES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2]
+SMALL_PHASES = st.builds(
+    lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), st.floats(2.0**-1000, 1.0)
+)
+
+
 @settings(max_examples=200)
 @given(
     phase=st.lists(
-        st.floats(min_value=-400.0, max_value=400.0) | st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
+        st.floats(min_value=-1e15, max_value=1e15) | st.sampled_from(SPECIAL_PHASES),
         min_size=1,
         max_size=64,
-    )
+    ),
+    small=st.lists(SMALL_PHASES, min_size=1, max_size=16),
 )
-def test_exp_i_rows_are_the_complex_exp(phase):
+def test_exp_i_rows_are_the_complex_exp(phase, small):
     phase = np.array(phase)
     rows = fringe._exp_i(phase)
-    exact = np.exp(1j * phase)
-    np.testing.assert_array_max_ulp(rows.real, exact.real, maxulp=1)
-    np.testing.assert_array_max_ulp(rows.imag, exact.imag, maxulp=1)
-    # a row of a block is the row on its own
+    # within 2^-51 absolute of libm's cos and sin (Z sums w row, so only
+    # absolute error reaches it)
+    want = np.array([complex(math.cos(p), math.sin(p)) for p in phase.tolist()])
+    assert np.abs(rows.real - want.real).max() <= EXP_I_ABS
+    assert np.abs(rows.imag - want.imag).max() <= EXP_I_ABS
+    # small tuned residual phases keep their relative precision
+    sines = np.array([math.sin(p) for p in small])
+    np.testing.assert_array_max_ulp(fringe._exp_i(np.array(small)).imag, sines, maxulp=4)
+    # a row of a block, or of strided input, is the row on its own
     block = fringe._exp_i(np.stack([phase, -phase]))
     assert block[0].tobytes() == rows.tobytes()
+    strided = fringe._exp_i(np.repeat(phase, 3)[1::3])
+    assert strided.tobytes() == rows.tobytes()
+    transposed = fringe._exp_i(np.stack([-phase, phase]).T)
+    assert transposed[:, 1].copy().tobytes() == rows.tobytes()
 
 
 def test_exp_i_is_exactly_one_at_phase_zero():
     rows = fringe._exp_i(np.zeros((2, 5)))
     assert rows.dtype == complex and rows.shape == (2, 5)
     assert rows.tobytes() == np.ones((2, 5), dtype=complex).tobytes()
+
+
+def _libm_exp_i(phase):
+    """The reference row: libm's cos and sin of the phase."""
+    rows = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=rows.real)
+    np.sin(phase, out=rows.imag)
+    return rows
+
+
+def outcome_with(kernel, call):
+    """outcome(call) with fringe._exp_i replaced by kernel; of an error
+    message only the head, before the numbers it prints."""
+    with mock.patch.object(fringe, "_exp_i", kernel):
+        got = outcome(call)
+    return got.split(":")[0] if isinstance(got, str) else got
+
+
+@settings(max_examples=80)
+@given(
+    s_par=st.floats(4.5, 12.0),
+    terms=st.lists(
+        st.tuples(st.floats(-200.0, 200.0), st.sampled_from([0, 1, 2])), min_size=1, max_size=3
+    ),
+    unwrap=st.booleans(),
+    factors=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4),
+)
+@example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], unwrap=True, factors=[1.0])  # walk into a deep null
+@example(s_par=8.0, terms=[(-200.0, 1)], unwrap=True, factors=[1.0])  # phase unresolved
+@example(s_par=4.5, terms=[(-60.0, 1)], unwrap=False, factors=[1.0])  # not converged
+@example(s_par=7.67, terms=[(-100.0, 1), (95.0, 1), (-5.0, 1)], unwrap=True, factors=[1.0])  # tuned null
+def test_half_angle_rows_agree_with_the_libm_rows(s_par, terms, unwrap, factors):
+    # plain averages and curves under both kernels: the same numbers to
+    # the tolerances below, or the same error
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    terms = [T(a, e) for a, e in terms]
+    calls = [
+        lambda: af.averaged_fringe(terms, beam, unwrap=unwrap),
+        lambda: af.averaged_fringe(terms, beam, unwrap=unwrap, scales=factors),
+    ]
+    for call in calls:
+        got = outcome_with(fringe._exp_i, call)
+        want = outcome_with(_libm_exp_i, call)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+            continue
+        vis = np.asarray(want.visibility)
+        assert np.all(np.abs(np.asarray(got.visibility) - vis) <= 1e-14)
+        gap = np.abs(np.asarray(got.phase_unwrapped) - np.asarray(want.phase_unwrapped))
+        if unwrap:
+            assert np.all(gap * vis <= 1e-13)
+        else:
+            assert np.all(np.isnan(gap))
+        if isinstance(got, af.FringeCurve):
+            for name in ("dlogz_dscale", "dlogz_dspeed_ratio"):
+                assert np.all(np.abs(getattr(got, name) - getattr(want, name)) * vis <= 1e-12), name
+
+
+def test_oversize_continuation_walk_is_refused_before_allocating():
+    # 1e12 steps of the 257-node row: about 3.65 PiB of walk rows
+    beam = af.BeamModel(u=1000.0, s_parallel=8.0)
+    match = r"phase continuation too long: 1000000000000 steps on 257 nodes .* 1e\+12 rad"
+    with pytest.raises(af.QuadratureConvergenceError, match=match):
+        af.averaged_fringe([af.DispersivePhaseTerm(1e12, 0)], beam)
+    with pytest.raises(af.QuadratureConvergenceError, match=match):
+        af.averaged_fringe([af.DispersivePhaseTerm(1e12, 0)], beam, scales=[0.5, 1.0])
+    # |Z| alone needs no walk
+    assert af.visibility_ratio([af.DispersivePhaseTerm(1e12, 0)], beam) == pytest.approx(1.0, abs=1e-12)
