@@ -71,6 +71,10 @@ __all__ = [
 
 OBSERVATION_HEADER = ["U_volts", "phase_rad", "phase_sigma_rad", "vis_ratio", "vis_sigma"]
 
+# the most points of a sweep, design or observation file: a curve of N points
+# is one N x (2n + 1) complex block, 82 MB at the default 257 nodes, 330 MB at 1025
+MAX_SWEEP_POINTS = 10_000
+
 
 class ParseError(ValueError):
     """A config, design, or observation file is malformed."""
@@ -124,6 +128,7 @@ class SyntheticDesign:
     rotation rate, folded into the Sagnac amplitude point by point.
     A sigma of 0 means that channel is noiseless; its recorded sigma
     column falls back to 1 so the file still carries usable weights.
+    Up to MAX_SWEEP_POINTS voltages; a voltage listed again is measured again.
     """
 
     voltages: tuple[float, ...]
@@ -136,8 +141,8 @@ class SyntheticDesign:
         object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
         if not self.voltages:  # it would write a header-only file
             raise ValueError("design voltages must not be empty")
-        if len(set(self.voltages)) != len(self.voltages):
-            raise ValueError("design voltages must be distinct")
+        if len(self.voltages) > MAX_SWEEP_POINTS:
+            raise ValueError(f"design voltages_V holds more than {MAX_SWEEP_POINTS} entries")
         for name in ("phase_sigma_base", "phase_sigma_per_rad", "vis_sigma", "rotation_jitter"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
@@ -269,20 +274,18 @@ def _read_schema(path: str, rows) -> dict:
 def load_config(path: str) -> RunConfig:
     """Read a JSON run config; SCHEMA["config"] lists every key."""
     values = _read_schema(path, SCHEMA["config"])
-    try:
-        geometry, capacitor = geometry_from_config(values["geometry"])
-        return RunConfig(
-            geometry=geometry,
-            capacitor=capacitor,
-            beam=BeamModel(values["beam"]["u_m_per_s"], values["beam"]["s_parallel"]),
-            alpha_m3=values["alpha_m3"],
-            prism=PrismGeometry(refractive_index_n=values["prism_n"]),
-            rng_seed=values["rng_seed"],
-            support=VelocitySupport(**values["averaging"]),
-            **values["fit"],
-        )
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    # every constructor check below is also a SCHEMA bound, refused above
+    geometry, capacitor = geometry_from_config(values["geometry"])
+    return RunConfig(
+        geometry=geometry,
+        capacitor=capacitor,
+        beam=BeamModel(values["beam"]["u_m_per_s"], values["beam"]["s_parallel"]),
+        alpha_m3=values["alpha_m3"],
+        prism=PrismGeometry(refractive_index_n=values["prism_n"]),
+        rng_seed=values["rng_seed"],
+        support=VelocitySupport(**values["averaging"]),
+        **values["fit"],
+    )
 
 
 def load_design(path: str) -> SyntheticDesign:
@@ -341,8 +344,8 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> tuple[Obse
     With rotation jitter each voltage draws its jitter, gets a model
     curve of its own at that rotation amplitude, then draws its phase
     and visibility noise.  Deterministic for a fixed (config.rng_seed,
-    design).  One or more voltages are written; a fit needs an
-    ObservationSet, which wants 3.
+    design).  Each listed voltage, repeats included, is one point with
+    its own noise; a fit needs an ObservationSet, which wants 3.
 
     Raises ValueError for rotation jitter when the config leaves the
     rotation term out (include_sagnac false): there is no rotation
@@ -401,13 +404,9 @@ def generate_synthetic(config: RunConfig, design: SyntheticDesign) -> tuple[Obse
 
 
 def read_observations(path: str) -> tuple[Observation, ...]:
-    """Read an observation CSV, repeated voltages included; ParseError names
-    the file and line of a bad header, row or field, or an over-long cell."""
-    return tuple(obs for _, obs in _numbered_observations(path))
-
-
-def _numbered_observations(path: str) -> list[tuple[int, Observation]]:
-    """read_observations(path), each observation with its line number."""
+    """Read an observation CSV, one Observation per non-blank row, repeated
+    voltages included; ParseError names the file and line of a bad header,
+    row or field, an over-long cell, or the first row past MAX_SWEEP_POINTS."""
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
@@ -422,7 +421,13 @@ def _numbered_observations(path: str) -> list[tuple[int, Observation]]:
             raise ParseError(f"{path}:1: empty file, expected header")
         if header != OBSERVATION_HEADER:
             raise ParseError(f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}")
-        return [(n, _observation_row(path, n, row)) for n, row in enumerate(reader, start=2) if row]
+        observations = []
+        for n, row in enumerate(reader, start=2):
+            if row:
+                if len(observations) == MAX_SWEEP_POINTS:
+                    raise ParseError(f"{path}:{n}: more than {MAX_SWEEP_POINTS} observations")
+                observations.append(_observation_row(path, n, row))
+        return tuple(observations)
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: invalid CSV: {exc}") from exc
 
@@ -512,11 +517,6 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-# a curve of N points is one N x (2n + 1) complex block: 82 MB at the
-# default 257 nodes and 330 MB at 1025
-MAX_SWEEP_POINTS = 10_000
-
-
 def _voltage_grid(args) -> list[float]:
     if args.voltages is not None:
         return _parse_float_list(args.voltages, "--voltages")
@@ -550,16 +550,8 @@ def _cmd_fit(args) -> int:
     if args.sagnac is not None:
         config = replace(config, include_sagnac=args.sagnac == "on")
     ctx = config.model_context()
-    numbered = _numbered_observations(args.obs)
-    lines = {}  # voltage -> the line it is first on
-    for lineno, obs in numbered:
-        if lines.setdefault(obs.voltage_U, lineno) != lineno:  # exit 2, as in a design file
-            raise ParseError(
-                f"{args.obs}:{lineno}: voltage {obs.voltage_U} repeats line "
-                f"{lines[obs.voltage_U]}; observation voltages must be distinct"
-            )
-    observations = [obs for _, obs in numbered]
-    obs_set = ObservationSet(observations, ctx)
+    obs_set = ObservationSet(read_observations(args.obs), ctx)
+    observations = obs_set.observations
     result = fit(
         obs_set,
         max_iterations=config.max_iterations,

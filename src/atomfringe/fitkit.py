@@ -117,7 +117,8 @@ class ModelContext:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Observations plus the fixed context they were taken in."""
+    """Observations plus the fixed context they were taken in: at least 3,
+    and observations at one voltage are repeated measurements."""
 
     observations: tuple[Observation, ...]
     context: ModelContext
@@ -126,9 +127,6 @@ class ObservationSet:
         object.__setattr__(self, "observations", tuple(self.observations))
         if len(self.observations) < 3:
             raise ValueError("need at least 3 observations")
-        volts = [o.voltage_U for o in self.observations]
-        if len(set(volts)) != len(volts):
-            raise ValueError("observation voltages must be distinct")
 
 
 @dataclass(frozen=True, eq=False)

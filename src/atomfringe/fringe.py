@@ -336,7 +336,7 @@ def _report(z: complex, zk: complex, n: int, unwrap: bool):
             f"averaged phase unresolved: quadrature error {dz:.3e} "
             f"is not small against |Z| = {vis:.3e}; the phase is "
             "meaningless this deep into the dispersion tail (raise "
-            "node_count, or pass unwrap=False for |Z| alone)"
+            "node_count)"
         )
     return vis, cmath.phase(z)
 
@@ -360,7 +360,7 @@ def _walk_side(end, l1, phi, wp):
         raise QuadratureConvergenceError(
             f"phase continuation too long: {steps} steps on {phi.size} nodes for a "
             f"net amplitude of {abs(end) * l1:.6g} rad would hold more than "
-            f"{_MAX_WALK_VALUES} complex values (pass unwrap=False for |Z| alone)"
+            f"{_MAX_WALK_VALUES} complex values"
         )
     rows = np.empty((steps - 1, phi.size), dtype=complex)
     rows[0] = _exp_i(end / steps * phi)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import atomfringe as af
 from atomfringe import cli, fitkit
 from atomfringe.cli import OBSERVATION_HEADER, main, read_observations, write_observations
-from _support import ALPHA_TRUE, BEAM, C_TRUE, GEO, S_TRUE, run_config, zero_noise_observations
+from _support import ALPHA_TRUE, BEAM, C_TRUE, GEO, S_TRUE, VOLTS, run_config, zero_noise_observations
 
 LATITUDE_DEG = 43.0 + 33.0 / 60.0 + 37.0 / 3600.0
 
@@ -283,13 +283,21 @@ def test_synth_rejects_jitter_without_rotation_term(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_synth_rejects_duplicate_design_voltages(config_path, tmp_path, capsys):
-    design = write_config(tmp_path, design_doc(voltages_V=[100.0, 200.0, 100.0]), "dup.json")
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noiseless"])
+def test_synth_repeated_design_voltage_is_a_repeated_measurement(noisy, config_path, tmp_path):
+    # a voltage listed twice is measured twice: one row per entry, each
+    # with its own noise draw, so the two rows agree only without noise
+    quiet = {} if noisy else {"phase_sigma_base_rad": 0.0, "vis_sigma": 0.0}
+    design = write_config(tmp_path, design_doc(voltages_V=[100, 200, 100], **quiet), "dup.json")
     out = tmp_path / "obs.csv"
-    code = main(["synth", "--config", config_path, "--design", design, "--out", str(out)])
-    assert code == 2
-    assert_one_error_line(capsys, "dup.json", "design voltages must be distinct")
-    assert not out.exists()
+    assert main(["synth", "--config", config_path, "--design", design, "--out", str(out)]) == 0
+    first, _, again = obs = read_observations(str(out))
+    assert [o.voltage_U for o in obs] == [100.0, 200.0, 100.0]
+    if noisy:
+        assert again.phase_meas != first.phase_meas and again.vis_ratio != first.vis_ratio
+        assert (again.phase_sigma, again.vis_sigma) == (first.phase_sigma, first.vis_sigma)
+    else:
+        assert again == first
 
 
 def test_synth_refuses_an_empty_design(config_path, tmp_path, capsys):
@@ -355,8 +363,9 @@ def test_synth_jittered_file_is_rebuilt_by_hand(config_path, tmp_path):
         {"phase_sigma_per_rad": 0.01},
         {"phase_sigma_base_rad": 0.0, "phase_sigma_per_rad": 0.02},
         {"vis_sigma": 0.0},
+        {"voltages_V": [100.0, 200.0, 100.0]},
     ],
-    ids=["both-channels", "phase-sigma-per-rad-only", "noiseless-visibility"],
+    ids=["both-channels", "phase-sigma-per-rad-only", "noiseless-visibility", "repeated-voltage"],
 )
 def test_synth_file_is_rebuilt_by_hand(overrides, config_path, tmp_path):
     # the jitter-free path: one model curve for the design, then for each
@@ -1067,10 +1076,12 @@ def set_path(doc, path, value):
 
 
 def assert_one_error_line(capsys, *words):
+    """The one stderr line, after checking that it names every word."""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert all(word in err[0] for word in words)
+    return err[0]
 
 
 @pytest.mark.parametrize(
@@ -1198,6 +1209,48 @@ def benchmark_config(s_parallel, alpha_m3, **extra):
 )
 def test_config_builds_the_documented_run(doc, expected, tmp_path):
     assert cli.load_config(write_config(tmp_path, doc)) == expected
+
+
+BOUND_EDGES = [
+    (("geometry", "latitude_deg"), -90),
+    (("geometry", "latitude_deg"), 90),
+    *[
+        (path, value)
+        for path in (
+            ("geometry", "k_laser_per_m"),
+            ("geometry", "L_m"),
+            ("geometry", "geometry_factor_G_per_m"),
+            ("beam", "u_m_per_s"),
+            ("alpha_m3",),
+            ("averaging", "width_sigmas"),
+        )
+        for value in (5e-324, sys.float_info.max)
+    ],
+    (("beam", "s_parallel"), math.nextafter(1.0, 2.0)),
+    (("beam", "s_parallel"), sys.float_info.max),
+    (("averaging", "node_count"), 3),
+    (("averaging", "node_count"), 1025),
+    (("prism_n",), 1),
+    (("prism_n",), sys.float_info.max),
+    (("geometry", "arm_sign"), -1),
+    (("geometry", "arm_sign"), 1),
+    (("geometry", "earth_rotation_rate_rad_per_s"), 0),
+    (("geometry", "earth_rotation_rate_rad_per_s"), sys.float_info.max),
+    (("fit", "max_iterations"), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value", [pytest.param(p, v, id=f"{p[-1]}={v!r}") for p, v in BOUND_EDGES]
+)
+def test_config_builds_at_every_bound_edge(path, value, tmp_path):
+    # load_config builds its run without translating constructor errors:
+    # every constructor check is also a SCHEMA bound, so a value the
+    # schema lets through must build, and a check stricter than its row
+    # would fail here instead of turning a parse problem into exit 1
+    doc = base_config()
+    set_path(doc, path, value)
+    assert isinstance(cli.load_config(write_config(tmp_path, doc)), cli.RunConfig)
 
 
 @pytest.mark.parametrize(
@@ -1352,23 +1405,74 @@ def test_obs_cell_over_the_csv_field_limit_exits_2(config_path, tmp_path, capsys
     assert not report.exists()
 
 
-def test_obs_repeated_voltage_names_both_lines(config_path, tmp_path, capsys):
-    obs = tmp_path / "dup.csv"
-    header = ",".join(OBSERVATION_HEADER)
-    obs.write_text(
-        f"{header}\n100,-1.0,0.05,0.9,0.005\n200,-4.0,0.05,0.7,0.005\n\n"
-        "100,-1.1,0.05,0.9,0.005\n300,-9.0,0.05,0.5,0.005\n",
-        encoding="utf-8",
+def test_fit_of_a_doubled_file_is_the_fit_at_sigma_over_sqrt2(tmp_path):
+    # every row written twice is the same chi^2 function as every sigma
+    # divided by sqrt(2), so both files fit alike; the bounds (1e-6 of a
+    # sigma for the parameters and the sigmas, 1e-12 relative for chi^2)
+    # were fixed before the first run
+    config = write_config(tmp_path, {**base_config(), "fit": {"chi2_scaling": False}})
+    design = write_config(tmp_path, design_doc(voltages_V=list(VOLTS)), "design.json")
+    obs = tmp_path / "obs.csv"
+    argv = ["synth", "--config", config, "--design", design, "--seed", "7"]
+    assert main([*argv, "--out", str(obs)]) == 0
+    text = obs.read_text(encoding="utf-8")
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text(text + "\n" + text.split("\n", 1)[1], encoding="utf-8")  # a blank line between
+    rows = read_observations(str(obs))
+    assert read_observations(str(doubled)) == rows + rows
+    halved = tmp_path / "halved.csv"
+    root2 = math.sqrt(2.0)
+    write_observations(
+        str(halved),
+        [dataclasses.replace(o, phase_sigma=o.phase_sigma / root2, vis_sigma=o.vis_sigma / root2) for o in rows],
     )
-    report = tmp_path / "r.json"
-    code = main(["fit", "--config", config_path, "--obs", str(obs), "--out", str(report)])
-    assert code == 2
-    assert_one_error_line(
-        capsys, f"{obs}:5: voltage 100.0 repeats line 2; observation voltages must be distinct"
-    )
-    assert not report.exists()
-    # the file itself is well formed: the library reader returns every row
-    assert [o.voltage_U for o in read_observations(str(obs))] == [100.0, 200.0, 100.0, 300.0]
+    reports = []
+    for path in (doubled, halved):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["fit", "--config", config, "--obs", str(path), "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    twice, half = reports
+    assert twice["converged"] is half["converged"] is True
+    assert (twice["n_observations"], half["n_observations"]) == (30, 15)
+    for key in ("s_parallel", "coeff_per_U2"):
+        sigma = half[f"sigma_{key}"]
+        assert abs(twice[key] - half[key]) <= 1e-6 * sigma, key
+        assert abs(twice[f"sigma_{key}"] - sigma) <= 1e-6 * sigma, key
+    assert twice["chi_square"] == pytest.approx(half["chi_square"], rel=1e-12)
+    # a repeated voltage is one shared row of the average: equal residuals
+    assert twice["residuals"][:15] == twice["residuals"][15:]
+    assert [r["U_volts"] for r in twice["residuals"]] == [r["U_volts"] for r in half["residuals"]] * 2
+
+
+@pytest.mark.parametrize("what", ["design", "observations"])
+def test_more_entries_than_the_sweep_bound_exit_2(what, config_path, tmp_path, monkeypatch, capsys):
+    # one line naming the file (and the observation file's first line past
+    # the bound), refused before any model pass, and no output file
+    monkeypatch.setattr(cli, "generate_synthetic", None)
+    monkeypatch.setattr(cli, "ObservationSet", None)
+    volts = [float(v) for v in range(1, cli.MAX_SWEEP_POINTS + 2)]
+    out = tmp_path / "out"
+    if what == "design":
+        path = write_config(tmp_path, design_doc(voltages_V=volts), "big.json")
+        argv = ["synth", "--config", config_path, "--design", path]
+        line = f"{path}: design voltages_V holds more than 10000 entries"
+    else:
+        path = tmp_path / "big.csv"
+        write_observations(str(path), [af.Observation(v, -1.0, 0.05, 0.9, 0.005) for v in volts])
+        argv = ["fit", "--config", config_path, "--obs", str(path)]
+        line = f"{path}:10002: more than 10000 observations"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert_one_error_line(capsys, line)
+    assert not out.exists()
+
+
+def test_the_sweep_bound_itself_is_accepted(tmp_path):
+    # the edge: exactly MAX_SWEEP_POINTS voltages, and rows, are taken
+    volts = [float(v) for v in range(1, cli.MAX_SWEEP_POINTS + 1)]
+    assert len(cli.SyntheticDesign(voltages=volts).voltages) == cli.MAX_SWEEP_POINTS
+    path = tmp_path / "full.csv"
+    write_observations(str(path), [af.Observation(v, -1.0, 0.05, 0.9, 0.005) for v in volts])
+    assert len(read_observations(str(path))) == cli.MAX_SWEEP_POINTS
 
 
 def test_obs_short_row_exits_2(config_path, tmp_path, capsys):
@@ -1617,7 +1721,8 @@ def test_oversize_continuation_walk_exits_1_with_one_line(tmp_path, capsys):
     out = tmp_path / "walk.csv"
     argv = ["residual", "--config", write_config(tmp_path, doc), "--pol-amplitude", "-1", "--v2", "1e7"]
     assert main([*argv, "--out", str(out)]) == 1
-    assert_one_error_line(capsys, "phase continuation too long", "257 nodes")
+    line = assert_one_error_line(capsys, "phase continuation too long", "257 nodes")
+    assert "unwrap" not in line  # no subcommand can set the library's unwrap keyword
     assert not out.exists()
 
 
