@@ -44,16 +44,16 @@ and its two sums, Z and Z_K, each one np.dot.  These become Python
 complex numbers, and everything after them is scalar work: the check
 above (and, with unwrap, the test that |Z_K - Z| is small against |Z|,
 without which arg Z is noise), visibility = abs(Z), the principal
-phase, and nan or the tuned-null shortcut for phase_unwrapped; a plain
-call that needs a walk takes the curves' walk at the one factor 1.  One
+phase, and nan, the tuned-null shortcut or the unwrap at the one factor
+1 for phase_unwrapped (its slope is one more np.dot).  One
 private function does all of this and returns the three numbers as
 Python floats, which averaged_fringe wraps in a FringeObservable;
 visibility_ratio reads the visibility of that observable.  A curve
 checks and reports each entry through the plain call's scalar check and
 report, in input order, so an entry at factor 1 is bit-identical to the
 plain call and the first failing entry raises the plain call's error.
-Every exactly computed row (plain, curve, the walk's first row and the
-bisection midpoints) is built one way, in the half-angle form
+Every exactly computed row (plain, curve and the unwrap's bisection
+midpoints) is built one way, in the half-angle form
 exp(i phi) = (q - 1) + i t q with t = tan(phi / 2), q = 2 / (1 + t^2):
 numpy's float64 tan is vectorised (SIMD) where its cos and sin run one
 element at a time (without SIMD a row should cost about one libm call;
@@ -62,22 +62,21 @@ sin phi), libm's being within 2^-53; Z only sums w row, so only this
 absolute error reaches it, five orders of magnitude below
 QUADRATURE_TOL.
 
-Phases beyond the principal branch are recovered by continuation: the
-whole term list is scaled from 0 to its factor in steps small enough
-that the averaged phase never jumps by pi/2, refining near visibility
-nulls where the phase slews quickly.  The step count comes from the
-same fold, l1 = sum_e |net_e|, which bounds the averaged polynomial
-pointwise: a tuned null (u/v terms summing to 0) takes no walk, and a
-Roberts mixture walks only as far as its uncancelled part.  A
-call with several factors (``scales``) makes one such walk from 0 to
-the farthest factor on each side of zero, with factor 0 (arg exactly
-0) and every requested factor on the path, so a whole curve of u/v
-amplitudes costs one pass over the velocity grid, and each side computes
-only its inner points (none for a side of one step).  The walk's steps
-are equal, so its rows are built by recurrence, row k = exp(i step
-phi)^k (one exp row, then block doubling); they only choose the 2 pi
-branch, and every reported phase is the principal value of an exactly
-computed row plus 2 pi times the branches the walk crossed.
+Phases beyond the principal branch are recovered by continuation in
+the factor s that multiplies the whole term list, from s = 0 (arg Z
+exactly 0) to each requested factor.  Every exact row already gives the
+exact slope d arg Z / ds = Re(sum w P phi row / Z), the phase part of
+dlogz_dscale, so the unwrap needs no rows of its own: factor 0 and the
+requested factors are ranked, and between neighbours the trapezoid rule
+on the two slopes predicts the change of arg; the step crosses the 2 pi
+turns that bring its principal difference nearest that prediction
+(Tribolet's adaptive phase unwrapping, IEEE Trans. ASSP 25:170, 1977).
+A step is trusted when what is left is under pi/4 and the change of
+slope times the step is under pi/2; near a visibility null, where the phase
+slews, the others are bisected, each midpoint with one exact row, its
+arg and its slope.  A tuned null (every net amplitude 0) has phi = 0 and
+is not unwrapped at all.  Every reported phase is the principal value of
+an exactly computed row plus 2 pi times the turns crossed from factor 0.
 """
 
 from __future__ import annotations
@@ -106,9 +105,10 @@ __all__ = [
 QUADRATURE_TOL = 1e-9  # |Z_n - Z_{2n+1}^Kronrod| above this is a diagnostic
 
 _TWO_PI = 2.0 * math.pi
-_MAX_STEP_RAD = 0.5 * math.pi  # continuation step bound
+_MAX_LEFTOVER_RAD = 0.25 * math.pi  # trusted miss of a step's predicted change of arg
+_MAX_SLOPE_CHANGE_RAD = 0.5 * math.pi  # trusted change of slope times step
 _MAX_REFINE_PASSES = 40
-_MAX_WALK_VALUES = 1 << 23  # inner walk rows of one side, in complex values (128 MiB)
+_MAX_MIDPOINT_VALUES = 1 << 23  # bisection rows of one unwrap, in complex values (128 MiB)
 _ARG_NOISE_RATIO = 1e-3  # max quadrature error, relative to |Z|, for arg(Z) to mean anything
 
 
@@ -279,21 +279,21 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
 
 
 def _phase_profile(terms, beam, support):
-    """The one pass over terms: (l1, phi, w P, w_K P, w P d ln P / d S), where
-    phi = sum_e net_e (u/v)^e on every node (0 for no terms), l1 =
-    sum_e |net_e| and the rest is _weighted_nodes(beam, support)."""
+    """The one pass over terms: (null, phi, w P, w_K P, w P d ln P / d S),
+    where phi = sum_e net_e (u/v)^e on every node (0 for no terms), null
+    is whether every net_e is 0 (a tuned null: phi is 0, nothing to
+    unwrap) and the rest is _weighted_nodes(beam, support)."""
     net = {}
     for t in terms:
         net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
-    # bounds the averaged polynomial itself; 0 at a tuned null (no walk)
-    l1 = float(sum(map(abs, net.values())))
+    null = not any(net.values())
     powers, wp, wkp, wp_dlogp = _weighted_nodes(beam, support)
     items = iter(net.items())
     exponent, amplitude = next(items, (0, 0.0))
     phi = amplitude * powers[exponent]
     for exponent, amplitude in items:
         phi += amplitude * powers[exponent]
-    return l1, phi, wp, wkp, wp_dlogp
+    return null, phi, wp, wkp, wp_dlogp
 
 
 def _exp_i(phase):
@@ -341,77 +341,50 @@ def _report(z: complex, zk: complex, n: int, unwrap: bool):
     return vis, cmath.phase(z)
 
 
-def _walk_side(end, l1, phi, wp):
-    """The walk from 0 to end in ceil(|end| l1) equal steps, without its two
-    ends (both are on the path already): its factors and arg Z at each.
-
-    Row k = r^k, r = exp(i end phi / steps), is built by block doubling:
-    rows m + 1 .. m + k are rows 1 .. k times r^m.  The products move a
-    walk Z by a few 1e-15 from the exact exp (its arg by up to about 1e-9
-    rad where |Z| > 1e-6), which can only matter for the choice of 2 pi
-    branch.  A walk of one step has no inner point, and one whose rows
-    would hold more than _MAX_WALK_VALUES values raises
-    QuadratureConvergenceError before allocating them.
+def _unwrap(s, principal, slope, phi, wp, wphi):
+    """Unwrapped phases at the sorted distinct factors s, whose principal
+    values and exact slopes d arg Z / ds are principal and slope, from
+    the prediction of each step by the slopes at its ends (see the module
+    docstring); phi, w P and w P phi are on the n Gauss nodes.  Bisection
+    midpoints that would hold more than _MAX_MIDPOINT_VALUES values in
+    all raise QuadratureConvergenceError before their rows are allocated.
     """
-    steps = math.ceil(abs(end) * l1)
-    if steps < 2:
-        return np.empty(0), np.empty(0)
-    if (steps - 1) * phi.size > _MAX_WALK_VALUES:
-        raise QuadratureConvergenceError(
-            f"phase continuation too long: {steps} steps on {phi.size} nodes for a "
-            f"net amplitude of {abs(end) * l1:.6g} rad would hold more than "
-            f"{_MAX_WALK_VALUES} complex values"
-        )
-    rows = np.empty((steps - 1, phi.size), dtype=complex)
-    rows[0] = _exp_i(end / steps * phi)
-    m = 1
-    while m < steps - 1:
-        k = min(m, steps - 1 - m)
-        np.multiply(rows[:k], rows[m - 1], out=rows[m : m + k])
-        m += k
-    return np.arange(1, steps) * (end / steps), np.angle(rows @ wp)
-
-
-def _unwrap(s, principal, l1, phi, wp):
-    """Continuation-unwrapped phases at the sorted distinct factors s
-    (l1 > 0), whose principal values are principal.
-
-    One walk from 0 to the farthest factor on each side: the net
-    amplitude l1 bounds |d arg / d s| up to the distribution's (u/v)^2
-    reach, so ceil(|s| l1) steps keep each jump well under pi/2; steps
-    that still jump too far (near visibility nulls) are bisected.  Every
-    factor of s lies on the path (requested), and so does factor 0 at
-    arg exactly 0 (the weights are real), once.  Each side walks only
-    its inner points, by recurrence (see _walk_side); bisection
-    midpoints keep their exact exp.
-    """
-    (lo, lo_args), (hi, hi_args) = (
-        _walk_side(end, l1, phi, wp) for end in (min(s[0], 0.0), max(s[-1], 0.0))
-    )
-    # the path keeps the order it is built in (factor 0 first, the
-    # factors of s at start: start + s.size, bisection midpoints appended)
-    # and is only ranked by a stable sort on each pass
-    path = np.concatenate([[0.0], lo, hi, s])
-    args = np.concatenate([[0.0], lo_args, hi_args, principal])
-    start = 1 + lo.size + hi.size
+    # the path keeps the order it is built in (factor 0, then s, then
+    # bisection midpoints appended) and is only ranked by a stable sort;
+    # factor 0's row is 1, so Z = sum w P (real, arg exactly 0)
+    path = np.concatenate([[0.0], s])
+    args = np.concatenate([[0.0], principal])
+    slopes = np.concatenate([[(wphi.sum() / wp.sum()).real], slope])
+    midpoints = 0
     for _ in range(_MAX_REFINE_PASSES):
         order = path.argsort(kind="stable")
-        # each step between neighbours crosses the 2 pi branches that bring
-        # it nearest to 0; what is left of it must stay under pi/2
-        ranked_args = args[order]
+        ranked_path, ranked_args, ranked_slopes = path[order], args[order], slopes[order]
+        h = ranked_path[1:] - ranked_path[:-1]
+        predicted = 0.5 * h * (ranked_slopes[1:] + ranked_slopes[:-1])
         step = ranked_args[1:] - ranked_args[:-1]
-        turns = np.rint(step / _TWO_PI)
-        jumps = np.abs(step - _TWO_PI * turns) > _MAX_STEP_RAD
-        if not jumps.any():
+        turns = np.rint((step - predicted) / _TWO_PI)
+        # written so that a NaN is not trusted
+        trusted = (np.abs(step - _TWO_PI * turns - predicted) < _MAX_LEFTOVER_RAD) & (
+            h * np.abs(ranked_slopes[1:] - ranked_slopes[:-1]) < _MAX_SLOPE_CHANGE_RAD
+        )
+        if trusted.all():
             break
-        ranked_path = path[order]
-        mids = 0.5 * (ranked_path[:-1][jumps] + ranked_path[1:][jumps])
+        mids = 0.5 * (ranked_path[:-1] + ranked_path[1:])[~trusted]
+        midpoints += mids.size
+        if midpoints * phi.size > _MAX_MIDPOINT_VALUES:
+            raise QuadratureConvergenceError(
+                f"phase continuation too long: its bisection midpoints would hold "
+                f"{midpoints} x {phi.size} > {_MAX_MIDPOINT_VALUES} complex values"
+            )
+        rows = _exp_i(mids[:, None] * phi)
+        z = rows @ wp
         path = np.concatenate([path, mids])
-        args = np.concatenate([args, np.angle(_exp_i(mids[:, None] * phi) @ wp)])
+        args = np.concatenate([args, np.angle(z)])
+        slopes = np.concatenate([slopes, (rows @ wphi / z).real])
     else:
         raise QuadratureConvergenceError(
-            "phase continuation did not stabilize; the averaged phase jumps by "
-            "more than pi/2 at every refinement depth (visibility null too sharp)"
+            "phase continuation did not stabilize; the averaged phase departs from "
+            "its slopes' prediction at every refinement depth (visibility null too sharp)"
         )
     # branches crossed from the start of the ranked path, put back in build
     # order and counted from factor 0 (entry 0: arg exactly 0, ranked
@@ -420,23 +393,27 @@ def _unwrap(s, principal, l1, phi, wp):
     turns.cumsum(out=ranked_crossed[1:])
     crossed = np.empty(path.size)
     crossed[order] = ranked_crossed
-    # the principal value of an exactly computed row, on the walk's branch
-    return principal - _TWO_PI * (crossed[start : start + s.size] - crossed[0])
+    # the principal value of an exactly computed row, on the chosen branch
+    return principal - _TWO_PI * (crossed[1 : 1 + s.size] - crossed[0])
 
 
 def _plain(terms, beam, support, unwrap):
     """(visibility, phase, phase_unwrapped) of averaged_fringe without
     scales, as Python floats: one exact row on the 2n + 1 nodes, its sums
-    Z and Z_K, the report and, with unwrap, the walk at the one factor 1."""
-    l1, phi, wp, wkp, _ = _phase_profile(terms, beam, support)
+    Z and Z_K, the report and, with unwrap, the unwrap at the one factor
+    1 from the slope of that row."""
+    null, phi, wp, wkp, _ = _phase_profile(terms, beam, support)
     n = wp.size
     row = _exp_i(phi)
-    vis, phase = _report(complex(np.dot(row[:n], wp)), complex(np.dot(row, wkp)), n, unwrap)
+    z = complex(np.dot(row[:n], wp))
+    vis, phase = _report(z, complex(np.dot(row, wkp)), n, unwrap)
     if not unwrap:
         return vis, phase, math.nan
-    if l1 == 0.0:
+    if null:
         return vis, phase, phase
-    return vis, phase, float(_unwrap(np.ones(1), np.array([phase]), l1, phi[:n], wp)[0])
+    wphi = wp * phi[:n]
+    slope = np.array([(complex(np.dot(row[:n], wphi)) / z).real])
+    return vis, phase, float(_unwrap(np.ones(1), np.array([phase]), slope, phi[:n], wp, wphi)[0])
 
 
 def averaged_fringe(
@@ -466,7 +443,7 @@ def averaged_fringe(
     scales : sequence of float, optional
         Average the term list multiplied by each factor and return a
         FringeCurve whose entries follow the order of scales.  All
-        entries share one Gauss-Kronrod grid and one continuation walk;
+        entries share one Gauss-Kronrod grid and one unwrap;
         equal factors give identical entries, and an entry at factor 1
         is bit-identical to the plain call.
 
@@ -480,15 +457,15 @@ def averaged_fringe(
         If the Gauss-Kronrod (2n + 1 nodes) value of Z differs from the
         n-node one by more than QUADRATURE_TOL, or (with unwrap) if the
         continuation cannot track the phase through a visibility null or
-        its rows would hold more than 2^23 complex values.  With scales,
-        the first failing entry in input order is reported.
+        its bisection midpoints would hold more than 2^23 complex values.
+        With scales, the first failing entry in input order is reported.
     """
     if scales is None:
         return FringeObservable(*_plain(terms, beam, support, unwrap))
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
         raise ValueError("scales must be a non-empty sequence of finite numbers")
-    l1, phi, wp, wkp, wp_dlogp = _phase_profile(terms, beam, support)
+    null, phi, wp, wkp, wp_dlogp = _phase_profile(terms, beam, support)
     n = wp.size
 
     # equal factors (0.0 and -0.0 too) share one row, so they give
@@ -508,23 +485,24 @@ def averaged_fringe(
     # order, so the first failing entry raises
     zl, zkl = z.tolist(), (rows @ wkp).tolist()
     vis, principal = np.array([_report(zl[j], zkl[j], n, unwrap) for j in inv.tolist()]).T
-    if not unwrap:
-        unwrapped = np.full(scales.size, math.nan)
-    elif l1 == 0.0:
-        unwrapped = principal.copy()
-    else:
-        distinct = np.empty(s.size)
-        distinct[inv] = principal
-        unwrapped = _unwrap(s, distinct, l1, phi[:n], wp)[inv]
     weights = np.empty((n, 2), dtype=complex)
     np.multiply(wp, phi[:n], out=weights[:, 0])
     weights[:, 1] = wp_dlogp
     sums = rows[:, :n] @ weights
+    dlogz_dscale = 1j * sums[:, 0] / z
+    if not unwrap:
+        unwrapped = np.full(scales.size, math.nan)
+    elif null:
+        unwrapped = principal.copy()
+    else:
+        distinct = np.empty(s.size)
+        distinct[inv] = principal
+        unwrapped = _unwrap(s, distinct, dlogz_dscale.imag, phi[:n], wp, weights[:, 0])[inv]
     return FringeCurve(
         visibility=vis,
         phase=principal,
         phase_unwrapped=unwrapped,
-        dlogz_dscale=(1j * sums[:, 0] / z)[inv],
+        dlogz_dscale=dlogz_dscale[inv],
         dlogz_dspeed_ratio=(sums[:, 1] / z)[inv],
     )
 

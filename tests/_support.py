@@ -124,3 +124,44 @@ def exact_and_forward_jacobian(x, volts, ctx, ph, ra, rel_step=1e-6):
         xp[k] += h
         forward[:, k] = (residuals(xp) - r0) / h
     return exact, forward
+
+
+_ROBERTS_TERMS = ((-1.0, 1), (1.0, 2))
+
+
+def unwrap_corpus(seed, count):
+    """count seeded averaged_fringe calls, each (terms, beam, support,
+    scales) with scales None for a plain call, drawn in five kinds: a
+    fit's curve (the unit u/v term at a Sagnac factor and 5-20 on
+    states up to 100 rad below it), a Roberts scan (8 or fewer factors
+    of (u/v)^2 - u/v up to +-400 rad), sparse factors of 1-3 mixed-
+    exponent terms that sometimes nearly cancel, a dense scan of such
+    terms from 0 through the dispersion tail, and a plain call; S 4.5-12,
+    u 700-1500 m/s, 129, 257 or 513 nodes."""
+    rng = np.random.default_rng(seed)
+    calls = []
+    for _ in range(count):
+        kind = int(rng.integers(5))
+        beam = af.BeamModel(u=rng.uniform(700.0, 1500.0), s_parallel=rng.uniform(4.5, 12.0))
+        support = af.VelocitySupport(node_count=int(rng.choice([129, 257, 513])))
+        if kind == 0:
+            sag = rng.uniform(-3.0, 3.0)
+            on = np.linspace(0.0, 1.0, int(rng.integers(6, 22)))[1:] ** 2
+            terms, scales = [(1.0, 1)], np.concatenate([[sag], sag - rng.uniform(0.0, 100.0) * on])
+        elif kind == 1:
+            reach = 10.0 ** rng.uniform(0.0, math.log10(400.0))
+            terms, scales = _ROBERTS_TERMS, rng.uniform(-reach, reach, int(rng.integers(1, 9)))
+        else:
+            amps = rng.uniform(-150.0, 150.0, int(rng.integers(1, 4)))
+            if amps.size > 1 and rng.random() < 0.3:  # nearly cancelling
+                amps[1] = -amps[0] + rng.normal(0.0, 1.0)
+            terms = list(zip(amps.tolist(), rng.integers(0, 3, amps.size).tolist()))
+            if kind == 2:
+                scales = rng.uniform(-1.5, 1.5, int(rng.integers(1, 5)))
+            elif kind == 3:
+                scales = np.linspace(0.0, rng.uniform(0.2, 1.5), int(rng.integers(20, 61)))
+            else:
+                scales = None
+        terms = [af.DispersivePhaseTerm(a, e) for a, e in terms]
+        calls.append((terms, beam, support, scales))
+    return calls

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import atomfringe as af
-from atomfringe import cli, fitkit
+from atomfringe import cli, fitkit, fringe
 from atomfringe.cli import OBSERVATION_HEADER, main, read_observations, write_observations
 from _support import ALPHA_TRUE, BEAM, C_TRUE, GEO, S_TRUE, VOLTS, run_config, zero_noise_observations
 
@@ -1714,15 +1714,42 @@ def test_out_of_range_numbers_keep_the_exit_contract(case, tmp_path, capsys):
         assert all(math.isfinite(x) for x in numbers_in(report))
 
 
-def test_oversize_continuation_walk_exits_1_with_one_line(tmp_path, capsys):
-    # a Roberts scan whose walk would hold about 5e9 complex values
+def test_narrow_beam_roberts_scan_exits_0_with_one_finite_row(tmp_path, capsys):
+    # v2 of 1e7 rad at speed ratio 1e8: the slopes predict the branch
     doc = base_config()
     doc["beam"]["s_parallel"] = 1e8
-    out = tmp_path / "walk.csv"
+    out = tmp_path / "narrow.csv"
     argv = ["residual", "--config", write_config(tmp_path, doc), "--pol-amplitude", "-1", "--v2", "1e7"]
-    assert main([*argv, "--out", str(out)]) == 1
-    line = assert_one_error_line(capsys, "phase continuation too long", "257 nodes")
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    assert len(rows) == 1 and all(math.isfinite(float(cell)) for cell in rows[0])
+
+
+def test_midpoints_over_the_cap_exit_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # the deep null at S = 8 needs 21 bisection midpoints of 257 nodes
+    monkeypatch.setattr(fringe, "_MAX_MIDPOINT_VALUES", 20 * 257)
+    doc = base_config()
+    doc["beam"]["s_parallel"] = 8.0
+    out = tmp_path / "null.csv"
+    argv = ["residual", "--config", write_config(tmp_path, doc), "--pol-amplitude", "-118.86"]
+    assert main([*argv, "--v1", "0", "--v2", "42.45", "--out", str(out)]) == 1
+    line = assert_one_error_line(capsys, "phase continuation too long", "21 x 257")
     assert "unwrap" not in line  # no subcommand can set the library's unwrap keyword
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "read_observations", exhausted)
+    obs = tmp_path / "obs.csv"
+    write_observations(str(obs), zero_noise_observations())
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--config", write_config(tmp_path, base_config()), "--obs", str(obs), "--out", str(out)])
+    assert code == 1
+    assert_one_error_line(capsys, "out of memory")
     assert not out.exists()
 
 

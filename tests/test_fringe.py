@@ -22,7 +22,7 @@ import atomfringe as af
 import _oracles as orc
 from atomfringe import fringe
 from atomfringe.beam import DEFAULT_NODE_COUNT
-from _support import BEAM, SAG_AMP
+from _support import BEAM, SAG_AMP, unwrap_corpus
 
 T = lambda a, e=1: af.DispersivePhaseTerm(amplitude_at_mean=a, exponent=e)
 
@@ -303,10 +303,10 @@ def test_window_mass_check():
     c=st.floats(0.0, 100.0),
 )
 def test_split_terms_match_the_merged_term(s_par, a, b, c):
-    # the pieces' sum of |A| is far above the net amplitude |a| that
-    # sizes their continuation walk; a walk too short for them would
-    # land the phase on another 2 pi branch.  The reference sweeps the
-    # merged term densely, so its path does not depend on that bound.
+    # the pieces' sum of |A| is far above the net amplitude |a|; an
+    # unwrap that followed the pieces and not their sum could land the
+    # phase on another 2 pi branch.  The reference sweeps the merged term
+    # densely, so its path does not depend on the pieces.
     beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
     sweep = np.linspace(0.0, 1.0, 4 * math.ceil(abs(a)) + 2)
     whole = af.averaged_fringe([T(a)], beam, scales=sweep)
@@ -367,8 +367,8 @@ def outcome(call):
 @example(s_par=4.6, terms=[(30.0, 1), (-30.0, 2)], unwrap=True)  # not converged
 @example(s_par=8.0, terms=[(-200.0, 1)], unwrap=True)  # |Z| at the floor: phase unresolved
 @example(s_par=8.0, terms=[(-200.0, 1)], unwrap=False)  # the same |Z| alone
-@example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], unwrap=True)  # walk into a deep null
-@example(s_par=8.0, terms=[(-50.0, 1), (50.0, 1)], unwrap=True)  # tuned null: no walk
+@example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], unwrap=True)  # unwrap bisects into a deep null
+@example(s_par=8.0, terms=[(-50.0, 1), (50.0, 1)], unwrap=True)  # tuned null: no unwrap
 def test_plain_call_is_the_curve_at_factor_one(s_par, terms, unwrap):
     # one check and one report serve both call shapes: the same numbers,
     # or the same error with the same message
@@ -493,11 +493,12 @@ def test_average_matches_the_independent_oracle(s_par, terms):
     factors=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=3),
     near=st.floats(-1.0, 1.0),
 )
-# S = 8: the walk to factor 1 runs into a deep null and bisects
+# S = 8: the unwrap to factor 1 runs into a deep null and bisects
 @example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], factors=[1.0], near=0.5)
 def test_curve_matches_the_independent_oracle_at_every_factor(s_par, terms, factors, near):
-    # both zeros, a repeated factor and one within a walk step of 0 (the
-    # walk bound is the sum of the net amplitudes) share the curve's walk
+    # both zeros, a repeated factor and one whose phase stays within a
+    # radian of 0 (near over the sum of the net amplitudes) share the
+    # curve's unwrap
     beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
     l1 = sum(abs(a) for a, _ in terms)
     scales = [*factors, 0.0, -0.0, factors[0], near / max(l1, 1.0)]
@@ -507,7 +508,7 @@ def test_curve_matches_the_independent_oracle_at_every_factor(s_par, terms, fact
         return  # the documented diagnostic; any other error fails the test
     want = {}
     for f, vis, got in zip(scales, curve.visibility, curve.phase_unwrapped):
-        if f not in want:  # 0.0 == -0.0: one oracle walk
+        if f not in want:  # 0.0 == -0.0: one oracle unwrap
             scaled = [(f * a, e) for a, e in terms]
             want[f] = orc.unwrapped_phase(scaled, beam.u, s_par, nodes=20_001)
         assert abs(got - want[f]) <= 10.0 * af.QUADRATURE_TOL / vis, f
@@ -580,7 +581,7 @@ def outcome_with(kernel, call):
     unwrap=st.booleans(),
     factors=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4),
 )
-@example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], unwrap=True, factors=[1.0])  # walk into a deep null
+@example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], unwrap=True, factors=[1.0])  # unwrap bisects into a deep null
 @example(s_par=8.0, terms=[(-200.0, 1)], unwrap=True, factors=[1.0])  # phase unresolved
 @example(s_par=4.5, terms=[(-60.0, 1)], unwrap=False, factors=[1.0])  # not converged
 @example(s_par=7.67, terms=[(-100.0, 1), (95.0, 1), (-5.0, 1)], unwrap=True, factors=[1.0])  # tuned null
@@ -611,13 +612,68 @@ def test_half_angle_rows_agree_with_the_libm_rows(s_par, terms, unwrap, factors)
                 assert np.all(np.abs(getattr(got, name) - getattr(want, name)) * vis <= 1e-12), name
 
 
-def test_oversize_continuation_walk_is_refused_before_allocating():
-    # 1e12 steps of the 257-node row: about 3.65 PiB of walk rows
+def test_large_phases_are_unwrapped_on_their_branch():
+    # the exact slopes predict every change of arg, so a phase of 1e12 rad
+    # at every velocity, or 3e5 rad on a beam of speed ratio 1e6, needs no
+    # midpoint: the branch comes from the prediction over the whole step
     beam = af.BeamModel(u=1000.0, s_parallel=8.0)
-    match = r"phase continuation too long: 1000000000000 steps on 257 nodes .* 1e\+12 rad"
+    constant = [af.DispersivePhaseTerm(1e12, 0)]
+    assert af.averaged_fringe(constant, beam).phase_unwrapped == 1e12
+    assert af.averaged_fringe(constant, beam, scales=[0.5, 1.0]).phase_unwrapped.tolist() == [5e11, 1e12]
+    # |Z| alone needs no unwrap
+    assert af.visibility_ratio(constant, beam) == pytest.approx(1.0, abs=1e-12)
+    # <u/v> = 1 + 1 / (2 S^2) to leading order in 1 / S
+    s_par = 1e6
+    narrow = af.averaged_fringe([T(3e5)], af.BeamModel(u=1000.0, s_parallel=s_par))
+    assert abs(narrow.phase_unwrapped - 3e5 * (1.0 + 0.5 / s_par**2)) < 0.5 * math.pi
+
+
+DEEP_NULL = [T(-118.86, 1), T(42.45, 2)]  # at S = 8: 21 bisection midpoints of 257 nodes
+
+
+# the deep null takes 15 passes of one midpoint each, then three of two
+@pytest.mark.parametrize("cap, midpoints", [(0, 1), (20, 21)])
+@pytest.mark.parametrize("scales", [None, [1.0]])
+def test_midpoints_over_the_cap_are_refused_before_allocating(cap, midpoints, scales, monkeypatch):
+    beam = af.BeamModel(u=BEAM.u, s_parallel=8.0)
+    want = af.averaged_fringe(DEEP_NULL, beam, scales=scales).phase_unwrapped
+    batches = []
+    _exp_i = fringe._exp_i
+    monkeypatch.setattr(fringe, "_exp_i", lambda phase: batches.append(phase.shape) or _exp_i(phase))
+    monkeypatch.setattr(fringe, "_MAX_MIDPOINT_VALUES", cap * 257)
+    match = rf"phase continuation too long: .* {midpoints} x 257 > {cap * 257} complex values$"
     with pytest.raises(af.QuadratureConvergenceError, match=match):
-        af.averaged_fringe([af.DispersivePhaseTerm(1e12, 0)], beam)
-    with pytest.raises(af.QuadratureConvergenceError, match=match):
-        af.averaged_fringe([af.DispersivePhaseTerm(1e12, 0)], beam, scales=[0.5, 1.0])
-    # |Z| alone needs no walk
-    assert af.visibility_ratio([af.DispersivePhaseTerm(1e12, 0)], beam) == pytest.approx(1.0, abs=1e-12)
+        af.averaged_fringe(DEEP_NULL, beam, scales=scales)
+    # after the requested row, only the midpoint rows under the cap were built
+    assert sum(rows for rows, _ in batches[1:]) <= cap
+    # a cap of exactly the 21 midpoints answers it
+    monkeypatch.setattr(fringe, "_MAX_MIDPOINT_VALUES", 21 * 257)
+    assert np.array_equal(af.averaged_fringe(DEEP_NULL, beam, scales=scales).phase_unwrapped, want)
+
+
+def test_unwrap_branches_match_the_recorded_corpus():
+    # the 2 pi branches of _support.unwrap_corpus(2026, 1000), recorded by
+    # the amplitude-continuation walk this unwrap replaced: every output of
+    # an answered call (in the curve's order), or nan for a call refused
+    # with QuadratureConvergenceError.  Every reported phase is its
+    # principal value minus 2 pi times a count of turns, so an answer is
+    # the recorded one bit for bit when the count is; a count is read off
+    # the recorded value, which keeps the check independent of the last
+    # bits of the machine's tan
+    recorded = np.load(Path(__file__).with_name("unwrap_branches.npy"))
+    got_calls, got = [], []
+    for j, (terms, beam, support, scales) in enumerate(unwrap_corpus(2026, 1000)):
+        try:
+            ob = af.averaged_fringe(terms, beam, support, scales=scales)
+        except af.QuadratureConvergenceError:
+            got_calls.append(j)
+            got.append((math.nan, math.nan))
+            continue
+        for phase, unwrapped in zip(np.atleast_1d(ob.phase), np.atleast_1d(ob.phase_unwrapped)):
+            got_calls.append(j)
+            got.append((phase, unwrapped))
+    assert got_calls == recorded["call"].tolist()
+    phase, unwrapped = np.array(got).T
+    np.testing.assert_array_equal(np.isnan(unwrapped), np.isnan(recorded["unwrapped"]))  # refusals
+    turns = np.rint((phase - recorded["unwrapped"]) / fringe._TWO_PI)
+    np.testing.assert_array_equal(unwrapped, phase - fringe._TWO_PI * turns)
