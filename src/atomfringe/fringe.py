@@ -62,21 +62,22 @@ sin phi), libm's being within 2^-53; Z only sums w row, so only this
 absolute error reaches it, five orders of magnitude below
 QUADRATURE_TOL.
 
-Phases beyond the principal branch are recovered by continuation in
-the factor s that multiplies the whole term list, from s = 0 (arg Z
-exactly 0) to each requested factor.  Every exact row already gives the
-exact slope d arg Z / ds = Re(sum w P phi row / Z), the phase part of
-dlogz_dscale, so the unwrap needs no rows of its own: factor 0 and the
-requested factors are ranked, and between neighbours the trapezoid rule
-on the two slopes predicts the change of arg; the step crosses the 2 pi
-turns that bring its principal difference nearest that prediction
-(Tribolet's adaptive phase unwrapping, IEEE Trans. ASSP 25:170, 1977).
-A step is trusted when what is left is under pi/4 and the change of
-slope times the step is under pi/2; near a visibility null, where the phase
-slews, the others are bisected, each midpoint with one exact row, its
-arg and its slope.  A tuned null (every net amplitude 0) has phi = 0 and
-is not unwrapped at all.  Every reported phase is the principal value of
-an exactly computed row plus 2 pi times the turns crossed from factor 0.
+Phases beyond the principal branch are recovered by continuation in the
+factor s that multiplies the whole term list, from s = 0 (arg Z exactly
+0) to each requested factor.  Every exact row already gives the exact
+slope d arg Z / ds = Re(sum w P phi row / Z), the phase part of
+dlogz_dscale, so the unwrap builds rows only where it bisects: factor 0
+and the requested factors are ranked, and between neighbours the
+trapezoid rule on the two slopes predicts the change of arg; the step
+crosses the 2 pi turns that bring its principal difference nearest that
+prediction (Tribolet's adaptive phase unwrapping, IEEE Trans. ASSP
+25:170, 1977).  A step is trusted when what is left is under pi/4 and
+the change of slope times the step is under pi/2; near a visibility
+null, where the phase slews, the others are bisected, each midpoint with
+one exact row, its arg and its slope.  A tuned null (every net amplitude
+0) has phi = 0 and is not unwrapped at all.  Every reported phase is the
+principal value of an exactly computed row plus 2 pi times the turns
+crossed from factor 0.
 """
 
 from __future__ import annotations
