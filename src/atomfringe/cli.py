@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import re
@@ -407,27 +406,26 @@ def read_observations(path: str) -> tuple[Observation, ...]:
     """Read an observation CSV, one Observation per non-blank row, repeated
     voltages included; ParseError names the file and line of a bad header,
     row or field, an over-long cell, or the first row past MAX_SWEEP_POINTS."""
+    # decoded and parsed row by row: nothing past the bound is read
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}:1: empty file, expected header")
+            if header != OBSERVATION_HEADER:
+                raise ParseError(f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}")
+            observations = []
+            for n, row in enumerate(reader, start=2):
+                if row:
+                    if len(observations) == MAX_SWEEP_POINTS:
+                        raise ParseError(f"{path}:{n}: more than {MAX_SWEEP_POINTS} observations")
+                    observations.append(_observation_row(path, n, row))
+            return tuple(observations)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid CSV: {exc}") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}:1: empty file, expected header")
-        if header != OBSERVATION_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(OBSERVATION_HEADER)}")
-        observations = []
-        for n, row in enumerate(reader, start=2):
-            if row:
-                if len(observations) == MAX_SWEEP_POINTS:
-                    raise ParseError(f"{path}:{n}: more than {MAX_SWEEP_POINTS} observations")
-                observations.append(_observation_row(path, n, row))
-        return tuple(observations)
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: invalid CSV: {exc}") from exc
 
@@ -500,6 +498,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         values = []
     if not values:  # an empty list would write a header-only file
         raise ParseError(f"{flag}: expected comma-separated numbers, got {text!r}")
+    if len(values) > MAX_SWEEP_POINTS:
+        raise ParseError(f"{flag}: more than {MAX_SWEEP_POINTS} values")
     return [_number(x, flag) for x in values]
 
 
@@ -631,7 +631,10 @@ def _cmd_residual(args) -> int:
     rows = []
     if args.v1 is not None:
         # a free v1 grid is a two-parameter family: one average per pair
-        for a1 in _parse_float_list(args.v1, "--v1"):
+        v1_list = _parse_float_list(args.v1, "--v1")
+        if (pairs := len(v1_list) * len(v2_list)) > MAX_SWEEP_POINTS:
+            raise ParseError(f"--v1 x --v2: {pairs} pairs, more than {MAX_SWEEP_POINTS}")
+        for a1 in v1_list:
             for a2 in v2_list:
                 terms = [DispersivePhaseTerm(a, e) for a, e in ((pol, 1), (a1, 1), (a2, 2))]
                 obs = averaged_fringe(terms, beam, config.support)

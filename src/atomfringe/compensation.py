@@ -84,17 +84,17 @@ def tune_counterphase(
 
     A u/v counter of amplitude minus the term's amplitude cancels the
     term at every velocity (a x + (-a) x is exactly 0 in floating
-    point), so the null needs no search.  One velocity average of
-    {pol, counter} reports the residual phase and the visibility at
-    the null; the counter amplitude is converted to antisymmetric
-    mirror velocities and the equivalent Brewster-prism translation
-    rate.
+    point), so the null needs no search and its phase no unwrap.  One
+    velocity average of {pol, counter}, without the unwrap, reports the
+    residual phase and the visibility at the null; the counter amplitude
+    is converted to antisymmetric mirror velocities and the equivalent
+    Brewster-prism translation rate.
     """
     if pol_term.exponent != 1:
         raise ValueError("counterphase tuning assumes a u/v (exponent-1) term")
     a_c = -pol_term.amplitude_at_mean
     counter = DispersivePhaseTerm(amplitude_at_mean=a_c, exponent=1)
-    null = averaged_fringe([pol_term, counter], beam, support=support)
+    null = averaged_fringe([pol_term, counter], beam, support=support, unwrap=False)
     motion = required_mirror_velocity(geometry, a_c, beam.u, max_travel)
     ratio = prism_displacement_ratio(prism)
     dz_rate = motion.v1 / ratio if ratio != 0.0 else math.inf
@@ -102,7 +102,8 @@ def tune_counterphase(
         counter_amplitude_at_mean=a_c,
         motion=motion,
         prism_dz_rate=dz_rate,
-        residual_phase=null.phase_unwrapped,
+        # the net phase is 0 at every node, so its principal value is the unwrapped one
+        residual_phase=null.phase,
         visibility_ratio_at_null=null.visibility,
     )
 

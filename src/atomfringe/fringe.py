@@ -44,14 +44,11 @@ and its two sums, Z and Z_K, each one np.dot.  These become Python
 complex numbers, and everything after them is scalar work: the check
 above (and, with unwrap, the test that |Z_K - Z| is small against |Z|,
 without which arg Z is noise), visibility = abs(Z), the principal
-phase, and nan, the tuned-null shortcut or the unwrap at the one factor
-1 for phase_unwrapped (its slope is one more np.dot).  One
-private function does all of this and returns the three numbers as
-Python floats, which averaged_fringe wraps in a FringeObservable;
-visibility_ratio reads the visibility of that observable.  A curve
-checks and reports each entry through the plain call's scalar check and
-report, in input order, so an entry at factor 1 is bit-identical to the
-plain call and the first failing entry raises the plain call's error.
+phase, and nan or the unwrap at the one factor 1 for phase_unwrapped
+(its slope is one more np.dot).  A curve checks and reports each entry
+through the plain call's scalar check and report, in input order, so an
+entry at factor 1 is bit-identical to the plain call and the first
+failing entry raises the plain call's error.
 Every exactly computed row (plain, curve and the unwrap's bisection
 midpoints) is built one way, in the half-angle form
 exp(i phi) = (q - 1) + i t q with t = tan(phi / 2), q = 2 / (1 + t^2):
@@ -74,8 +71,7 @@ prediction (Tribolet's adaptive phase unwrapping, IEEE Trans. ASSP
 25:170, 1977).  A step is trusted when what is left is under pi/4 and
 the change of slope times the step is under pi/2; near a visibility
 null, where the phase slews, the others are bisected, each midpoint with
-one exact row, its arg and its slope.  A tuned null (every net amplitude
-0) has phi = 0 and is not unwrapped at all.  Every reported phase is the
+one exact row, its arg and its slope.  Every reported phase is the
 principal value of an exactly computed row plus 2 pi times the turns
 crossed from factor 0.
 """
@@ -280,21 +276,19 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
 
 
 def _phase_profile(terms, beam, support):
-    """The one pass over terms: (null, phi, w P, w_K P, w P d ln P / d S),
-    where phi = sum_e net_e (u/v)^e on every node (0 for no terms), null
-    is whether every net_e is 0 (a tuned null: phi is 0, nothing to
-    unwrap) and the rest is _weighted_nodes(beam, support)."""
+    """The one pass over terms: (phi, w P, w_K P, w P d ln P / d S), where
+    phi = sum_e net_e (u/v)^e on every node (0 for no terms) and the rest
+    is _weighted_nodes(beam, support)."""
     net = {}
     for t in terms:
         net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
-    null = not any(net.values())
     powers, wp, wkp, wp_dlogp = _weighted_nodes(beam, support)
     items = iter(net.items())
     exponent, amplitude = next(items, (0, 0.0))
     phi = amplitude * powers[exponent]
     for exponent, amplitude in items:
         phi += amplitude * powers[exponent]
-    return null, phi, wp, wkp, wp_dlogp
+    return phi, wp, wkp, wp_dlogp
 
 
 def _exp_i(phase):
@@ -398,25 +392,6 @@ def _unwrap(s, principal, slope, phi, wp, wphi):
     return principal - _TWO_PI * (crossed[1 : 1 + s.size] - crossed[0])
 
 
-def _plain(terms, beam, support, unwrap):
-    """(visibility, phase, phase_unwrapped) of averaged_fringe without
-    scales, as Python floats: one exact row on the 2n + 1 nodes, its sums
-    Z and Z_K, the report and, with unwrap, the unwrap at the one factor
-    1 from the slope of that row."""
-    null, phi, wp, wkp, _ = _phase_profile(terms, beam, support)
-    n = wp.size
-    row = _exp_i(phi)
-    z = complex(np.dot(row[:n], wp))
-    vis, phase = _report(z, complex(np.dot(row, wkp)), n, unwrap)
-    if not unwrap:
-        return vis, phase, math.nan
-    if null:
-        return vis, phase, phase
-    wphi = wp * phi[:n]
-    slope = np.array([(complex(np.dot(row[:n], wphi)) / z).real])
-    return vis, phase, float(_unwrap(np.ones(1), np.array([phase]), slope, phi[:n], wp, wphi)[0])
-
-
 def averaged_fringe(
     terms,
     beam: BeamModel,
@@ -461,13 +436,22 @@ def averaged_fringe(
         its bisection midpoints would hold more than 2^23 complex values.
         With scales, the first failing entry in input order is reported.
     """
-    if scales is None:
-        return FringeObservable(*_plain(terms, beam, support, unwrap))
-    scales = np.asarray(scales, dtype=float)
-    if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
-        raise ValueError("scales must be a non-empty sequence of finite numbers")
-    null, phi, wp, wkp, wp_dlogp = _phase_profile(terms, beam, support)
+    if scales is not None:
+        scales = np.asarray(scales, dtype=float)
+        if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
+            raise ValueError("scales must be a non-empty sequence of finite numbers")
+    phi, wp, wkp, wp_dlogp = _phase_profile(terms, beam, support)
     n = wp.size
+    if scales is None:
+        row = _exp_i(phi)
+        z = complex(np.dot(row[:n], wp))
+        vis, phase = _report(z, complex(np.dot(row, wkp)), n, unwrap)
+        if not unwrap:
+            return FringeObservable(vis, phase, math.nan)
+        wphi = wp * phi[:n]
+        slope = np.array([(complex(np.dot(row[:n], wphi)) / z).real])
+        unwrapped = _unwrap(np.ones(1), np.array([phase]), slope, phi[:n], wp, wphi)
+        return FringeObservable(vis, phase, float(unwrapped[0]))
 
     # equal factors (0.0 and -0.0 too) share one row, so they give
     # bit-identical entries: s holds the distinct factors in ascending
@@ -493,8 +477,6 @@ def averaged_fringe(
     dlogz_dscale = 1j * sums[:, 0] / z
     if not unwrap:
         unwrapped = np.full(scales.size, math.nan)
-    elif null:
-        unwrapped = principal.copy()
     else:
         distinct = np.empty(s.size)
         distinct[inv] = principal

@@ -1297,6 +1297,9 @@ def test_readme_library_example_runs():
     assert namespace["result"].converged
 
 
+OVER_THE_BOUND = ",".join(["100"] * (cli.MAX_SWEEP_POINTS + 1))
+
+
 @pytest.mark.parametrize(
     "command, flags, flag",
     [
@@ -1315,6 +1318,19 @@ def test_readme_library_example_runs():
             "simulate", ["--points", str(cli.MAX_SWEEP_POINTS + 1)], "--points", id="points-over-bound"
         ),
         pytest.param("synth", ["--design", "{design}", "--seed", str(HUGE)], "--seed", id="seed-huge"),
+        pytest.param(
+            "simulate", ["--voltages", OVER_THE_BOUND], "--voltages", id="voltages-over-bound"
+        ),
+        pytest.param(
+            "residual", ["--pol-amplitude", "-100", "--v2", OVER_THE_BOUND], "--v2", id="v2-over-bound"
+        ),
+        # 101 x 100 pairs, each list under the bound
+        pytest.param(
+            "residual",
+            ["--pol-amplitude", "-100", "--v1", ",".join(["90"] * 101), "--v2", ",".join(["10"] * 100)],
+            "--v1 x --v2",
+            id="v1-grid-over-bound",
+        ),
     ],
 )
 def test_flag_bad_number_exits_2(command, flags, flag, config_path, tmp_path, capsys):
@@ -1464,6 +1480,16 @@ def test_more_entries_than_the_sweep_bound_exit_2(what, config_path, tmp_path, m
     assert main([*argv, "--out", str(out)]) == 2
     assert_one_error_line(capsys, line)
     assert not out.exists()
+
+
+def test_obs_past_the_bound_is_refused_before_a_later_bad_byte(config_path, tmp_path, capsys):
+    # the rows are decoded as they are read, so the first row past the
+    # bound is refused before the byte 0xe9 far beyond it is reached
+    path = tmp_path / "big.csv"
+    rows = "".join(f"{v},-1,0.05,0.9,0.005\n" for v in range(1, 11_002))
+    path.write_bytes(f"{','.join(OBSERVATION_HEADER)}\n{rows}11002,\xe9,0.05,0.9,0.005\n".encode("latin-1"))
+    assert main(["fit", "--config", config_path, "--obs", str(path), "--out", "-"]) == 2
+    assert_one_error_line(capsys, f"{path}:10002: more than 10000 observations")
 
 
 def test_the_sweep_bound_itself_is_accepted(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import atomfringe as af
+from atomfringe import fringe
 from _support import ALPHA_TRUE, BEAM, CAP, GEO
 
 T = lambda a, e=1: af.DispersivePhaseTerm(amplitude_at_mean=a, exponent=e)
@@ -47,6 +48,19 @@ def test_closed_form_null_is_exact(pol_amp, s_par):
     assert plan.counter_amplitude_at_mean == -pol_amp
     assert plan.residual_phase == 0.0
     assert plan.visibility_ratio_at_null == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("pol_amp", [-100.0, 0.0, -0.0, 250.0])
+def test_tuned_null_asks_for_no_unwrap(pol_amp, monkeypatch):
+    # the net phase is 0 at every node, so the principal value is the
+    # residual: the plan is made without the unwrap, and it is +0.0
+    def refuse(*args):
+        raise AssertionError("tune_counterphase unwrapped its null")
+
+    monkeypatch.setattr(fringe, "_unwrap", refuse)
+    plan = af.tune_counterphase(T(pol_amp), BEAM, GEO)
+    assert plan.residual_phase == 0.0
+    assert math.copysign(1.0, plan.residual_phase) == 1.0
 
 
 def test_plan_realizes_counter_amplitude():

@@ -368,7 +368,7 @@ def outcome(call):
 @example(s_par=8.0, terms=[(-200.0, 1)], unwrap=True)  # |Z| at the floor: phase unresolved
 @example(s_par=8.0, terms=[(-200.0, 1)], unwrap=False)  # the same |Z| alone
 @example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], unwrap=True)  # unwrap bisects into a deep null
-@example(s_par=8.0, terms=[(-50.0, 1), (50.0, 1)], unwrap=True)  # tuned null: no unwrap
+@example(s_par=8.0, terms=[(-50.0, 1), (50.0, 1)], unwrap=True)  # tuned null: phi = 0, no midpoint
 def test_plain_call_is_the_curve_at_factor_one(s_par, terms, unwrap):
     # one check and one report serve both call shapes: the same numbers,
     # or the same error with the same message
@@ -584,7 +584,7 @@ def outcome_with(kernel, call):
 @example(s_par=8.0, terms=[(-118.86, 1), (42.45, 2)], unwrap=True, factors=[1.0])  # unwrap bisects into a deep null
 @example(s_par=8.0, terms=[(-200.0, 1)], unwrap=True, factors=[1.0])  # phase unresolved
 @example(s_par=4.5, terms=[(-60.0, 1)], unwrap=False, factors=[1.0])  # not converged
-@example(s_par=7.67, terms=[(-100.0, 1), (95.0, 1), (-5.0, 1)], unwrap=True, factors=[1.0])  # tuned null
+@example(s_par=7.67, terms=[(-100.0, 1), (95.0, 1), (-5.0, 1)], unwrap=True, factors=[1.0])  # 10 rad off the null
 def test_half_angle_rows_agree_with_the_libm_rows(s_par, terms, unwrap, factors):
     # plain averages and curves under both kernels: the same numbers to
     # the tolerances below, or the same error
@@ -626,6 +626,24 @@ def test_large_phases_are_unwrapped_on_their_branch():
     s_par = 1e6
     narrow = af.averaged_fringe([T(3e5)], af.BeamModel(u=1000.0, s_parallel=s_par))
     assert abs(narrow.phase_unwrapped - 3e5 * (1.0 + 0.5 / s_par**2)) < 0.5 * math.pi
+
+
+@pytest.mark.parametrize("scales", [None, [1.0], [0.0, -0.0, -1.5, 1.0, 1.0]])
+@pytest.mark.parametrize(
+    "terms",
+    [[], [T(-50.0), T(50.0)], [T(-100.0), T(95.0), T(5.0)], [T(3.0, 0), T(-7.0, 2), T(-3.0, 0), T(7.0, 2)]],
+)
+def test_a_tuned_null_is_unwrapped_without_a_midpoint(terms, scales, monkeypatch):
+    # every net amplitude 0: each row is exactly 1 + 0j and both slopes
+    # are 0, so the unwrap trusts the step from factor 0 at once, builds
+    # no row beyond the requested one and leaves the principal value
+    batches = []
+    _exp_i = fringe._exp_i
+    monkeypatch.setattr(fringe, "_exp_i", lambda phase: batches.append(phase.shape) or _exp_i(phase))
+    got = af.averaged_fringe(terms, BEAM, scales=scales)
+    assert len(batches) == 1
+    assert np.asarray(got.phase_unwrapped).tobytes() == np.asarray(got.phase).tobytes()
+    assert np.all(np.asarray(got.phase) == 0.0)
 
 
 DEEP_NULL = [T(-118.86, 1), T(42.45, 2)]  # at S = 8: 21 bisection midpoints of 257 nodes
