@@ -463,12 +463,17 @@ def write_observations(path: str, observations) -> None:
 
 def _write_text(path: str, text: str, newline: str | None = None) -> None:
     """text to path ('-' for stdout) in one write, the file opened only
-    once the text is complete, so a command that fails writes no file."""
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            fh.write(text)
+    once the text is complete, so a command that fails writes no file;
+    ParseError naming path when it cannot be written."""
+    try:
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline=newline) as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -561,15 +566,17 @@ def _cmd_fit(args) -> int:
         sigma_s, sigma_coeff = parameter_uncertainties(result)
     else:
         sigma_s = sigma_coeff = None
+    # chi^2 beyond the float range (phase sigmas far below the misfits) is null
+    chi_square = None if math.isinf(result.chi_square) else result.chi_square
     payload = {
         "s_parallel": result.s_parallel,
         "coeff_per_U2": result.coeff_per_U2,
         "sigma_s_parallel": sigma_s,
         "sigma_coeff_per_U2": sigma_coeff,
         "covariance": [list(map(float, row)) for row in result.covariance],
-        "chi_square": result.chi_square,
+        "chi_square": chi_square,
         # ObservationSet holds at least 3 points: 4 or more degrees of freedom
-        "reduced_chi_square": result.chi_square / (2 * len(observations) - 2),
+        "reduced_chi_square": None if chi_square is None else chi_square / (2 * len(observations) - 2),
         "n_observations": len(observations),
         "converged": result.converged,
         "iterations": result.iterations,

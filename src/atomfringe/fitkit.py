@@ -191,6 +191,12 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         chi2_scaling: bool = True) -> FitResult:
     """Joint weighted fit of (s_parallel, coeff_per_U2).
 
+    When the smallest phase sigma is below 0.5, the residuals, Jacobian
+    and costs are carried in units of the power of two that puts it in
+    [0.5, 1): the same steps and decisions, bit for bit, with sums that
+    stay finite for phase sigmas down to the smallest float.  chi_square
+    and cost_history are chi^2 itself, inf beyond the float range.
+
     Parameters
     ----------
     obs_set : ObservationSet
@@ -218,10 +224,10 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     measured = np.array([(o.phase_meas, o.vis_ratio) for o in obs])
     sigmas = np.array([(o.phase_sigma, o.vis_sigma) for o in obs])
 
+    # the power of two that puts the smallest phase sigma in [0.5, 1)
+    power = int(np.frexp(sigmas[:, 0].min())[1])
     if initial is None:
-        # sigmas times a power of two: the same slope, bit for bit, and
-        # weights that stay finite however small the sigmas are
-        w = u2 / np.ldexp(sigmas[:, 0], -np.frexp(sigmas[:, 0].min())[1]) ** 2
+        w = u2 / np.ldexp(sigmas[:, 0], -power) ** 2
         if not w @ u2 > 0.0:  # every U^2 is 0 in floating point
             raise FitError("no observation has a nonzero U^2, so coeff_per_U2 does not affect the model")
         initial = 8.0, -(w @ measured[:, 0]) / (w @ u2)
@@ -233,6 +239,12 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     # optimize in initial-value units so both gradient components are
     # comparable
     scale = np.array([abs(s0), max(abs(c0), 1e-6)])
+    # r and J are 2^shift times chi^2's and a cost of one is a chi^2 of 1;
+    # a sigma that overflows these units is infinite, and its residual 0
+    shift = min(power, 0)
+    with np.errstate(over="ignore"):
+        units = np.ldexp(sigmas, -shift)
+    one = math.ldexp(1.0, 2 * shift)
 
     def evaluate(x):
         """Raw (phase, vis) misfits, weighted residuals, exact Jacobian,
@@ -241,8 +253,8 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         s_par, coeff = x * scale
         model, dmodel = _model_pass(s_par, coeff, u2, context)
         misfit = measured - model
-        jac = -dmodel * scale / sigmas[:, :, None]
-        return misfit, (misfit / sigmas).ravel(), jac.reshape(-1, 2)
+        jac = -dmodel * scale / units[:, :, None]
+        return misfit, (misfit / units).ravel(), jac.reshape(-1, 2)
 
     x = np.array([s0, c0]) / scale
     misfit, r, J = evaluate(x)
@@ -254,7 +266,7 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
 
     for _ in range(max_iterations):
         g = J.T @ r
-        if np.max(np.abs(g)) <= _GTOL * max(1.0, cost):
+        if np.max(np.abs(g)) <= _GTOL * max(one, cost):
             break
         N = J.T @ J
         d = np.diag(N)
@@ -278,7 +290,7 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
                     trial = None
                 cost_try = float(trial[1] @ trial[1]) if trial is not None else math.inf
                 if cost_try <= cost:
-                    stalls = stalls + 1 if cost - cost_try <= 1e-14 * max(1.0, cost) else 0
+                    stalls = stalls + 1 if cost - cost_try <= 1e-14 * max(one, cost) else 0
                     x, cost = x_try, cost_try
                     misfit, r, J = trial
                     history.append(cost)
@@ -297,7 +309,7 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     # the accepted evaluation's Jacobian is the linearization at the
     # reported optimum: convergence flag and covariance both come from it
     g = J.T @ r
-    converged = stalled or bool(np.max(np.abs(g)) <= _GTOL * max(1.0, cost))
+    converged = stalled or bool(np.max(np.abs(g)) <= _GTOL * max(one, cost))
     N = J.T @ J
     try:
         cov_x = np.linalg.inv(N)
@@ -305,17 +317,19 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         raise FitError(
             "singular normal matrix at the optimum; covariance undefined"
         ) from exc
-    if chi2_scaling:  # r holds 2 entries per observation, so r.size >= 6
-        cov_x = cov_x * (cost / (r.size - 2))
+    # r holds 2 entries per observation, so r.size >= 6
+    cov_x = cov_x * (cost / (r.size - 2) if chi2_scaling else one)
     cov = np.diag(scale) @ cov_x @ np.diag(scale)
     cov = 0.5 * (cov + cov.T)
 
     s_fit, c_fit = x * scale
+    with np.errstate(over="ignore"):  # a chi^2 beyond the float range reads inf
+        history = np.ldexp(history, -2 * shift).tolist()
     return FitResult(
         s_parallel=float(s_fit),
         coeff_per_U2=float(c_fit),
         covariance=cov,
-        chi_square=cost,
+        chi_square=history[-1],
         residuals=misfit,
         converged=converged,
         iterations=len(history) - 1,

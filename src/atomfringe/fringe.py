@@ -64,16 +64,16 @@ factor s that multiplies the whole term list, from s = 0 (arg Z exactly
 0) to each requested factor.  Every exact row already gives the exact
 slope d arg Z / ds = Re(sum w P phi row / Z), the phase part of
 dlogz_dscale, so the unwrap builds rows only where it bisects: factor 0
-and the requested factors are ranked, and between neighbours the
-trapezoid rule on the two slopes predicts the change of arg; the step
-crosses the 2 pi turns that bring its principal difference nearest that
-prediction (Tribolet's adaptive phase unwrapping, IEEE Trans. ASSP
+and the requested factors are held in rank order, and between neighbours
+the trapezoid rule on the two slopes predicts the change of arg; the
+step crosses the 2 pi turns that bring its principal difference nearest
+that prediction (Tribolet's adaptive phase unwrapping, IEEE Trans. ASSP
 25:170, 1977).  A step is trusted when what is left is under pi/4 and
 the change of slope times the step is under pi/2; near a visibility
-null, where the phase slews, the others are bisected, each midpoint with
-one exact row, its arg and its slope.  Every reported phase is the
-principal value of an exactly computed row plus 2 pi times the turns
-crossed from factor 0.
+null, where the phase slews, the others are bisected, each midpoint put
+in its place with one exact row, its arg and its slope.  Every reported
+phase is the principal value of an exactly computed row plus 2 pi times
+the turns crossed from factor 0.
 """
 
 from __future__ import annotations
@@ -344,27 +344,27 @@ def _unwrap(s, principal, slope, phi, wp, wphi):
     midpoints that would hold more than _MAX_MIDPOINT_VALUES values in
     all raise QuadratureConvergenceError before their rows are allocated.
     """
-    # the path keeps the order it is built in (factor 0, then s, then
-    # bisection midpoints appended) and is only ranked by a stable sort;
-    # factor 0's row is 1, so Z = sum w P (real, arg exactly 0)
-    path = np.concatenate([[0.0], s])
-    args = np.concatenate([[0.0], principal])
-    slopes = np.concatenate([[(wphi.sum() / wp.sum()).real], slope])
+    # the path in rank order, one column per factor: the factor, its arg,
+    # its slope and 1 where it was requested.  Factor 0 (row 1, so Z =
+    # sum w P, real, arg exactly 0) goes before any requested zero
+    zero = s.searchsorted(0.0)
+    table = np.ones((4, s.size + 1))
+    table[:3, 1:] = s, principal, slope
+    table[:, :zero] = table[:, 1 : zero + 1]
+    table[:, zero] = 0.0, 0.0, (wphi.sum() / wp.sum()).real, 0.0
     midpoints = 0
     for _ in range(_MAX_REFINE_PASSES):
-        order = path.argsort(kind="stable")
-        ranked_path, ranked_args, ranked_slopes = path[order], args[order], slopes[order]
-        h = ranked_path[1:] - ranked_path[:-1]
-        predicted = 0.5 * h * (ranked_slopes[1:] + ranked_slopes[:-1])
-        step = ranked_args[1:] - ranked_args[:-1]
+        h, step, slope_change, _ = table[:, 1:] - table[:, :-1]
+        predicted = 0.5 * h * (table[2, 1:] + table[2, :-1])
         turns = np.rint((step - predicted) / _TWO_PI)
         # written so that a NaN is not trusted
         trusted = (np.abs(step - _TWO_PI * turns - predicted) < _MAX_LEFTOVER_RAD) & (
-            h * np.abs(ranked_slopes[1:] - ranked_slopes[:-1]) < _MAX_SLOPE_CHANGE_RAD
+            h * np.abs(slope_change) < _MAX_SLOPE_CHANGE_RAD
         )
         if trusted.all():
             break
-        mids = 0.5 * (ranked_path[:-1] + ranked_path[1:])[~trusted]
+        gap = np.flatnonzero(~trusted)
+        mids = 0.5 * (table[0, gap] + table[0, gap + 1])
         midpoints += mids.size
         if midpoints * phi.size > _MAX_MIDPOINT_VALUES:
             raise QuadratureConvergenceError(
@@ -373,23 +373,19 @@ def _unwrap(s, principal, slope, phi, wp, wphi):
             )
         rows = _exp_i(mids[:, None] * phi)
         z = rows @ wp
-        path = np.concatenate([path, mids])
-        args = np.concatenate([args, np.angle(z)])
-        slopes = np.concatenate([slopes, (rows @ wphi / z).real])
+        columns = (mids, np.angle(z), (rows @ wphi / z).real, np.zeros(mids.size))
+        table = np.insert(table, gap + 1, columns, axis=1)
+        zero += np.count_nonzero(gap < zero)
     else:
         raise QuadratureConvergenceError(
             "phase continuation did not stabilize; the averaged phase departs from "
             "its slopes' prediction at every refinement depth (visibility null too sharp)"
         )
-    # branches crossed from the start of the ranked path, put back in build
-    # order and counted from factor 0 (entry 0: arg exactly 0, ranked
-    # first among the zeros)
-    ranked_crossed = np.zeros(path.size)
-    turns.cumsum(out=ranked_crossed[1:])
-    crossed = np.empty(path.size)
-    crossed[order] = ranked_crossed
+    # branches crossed from the start of the path, counted from factor 0;
     # the principal value of an exactly computed row, on the chosen branch
-    return principal - _TWO_PI * (crossed[1 : 1 + s.size] - crossed[0])
+    crossed = np.zeros(table.shape[1])
+    turns.cumsum(out=crossed[1:])
+    return principal - _TWO_PI * (crossed[table[3] == 1.0] - crossed[zero])
 
 
 def averaged_fringe(

@@ -1685,12 +1685,17 @@ def tiny_voltages_file(tmp_path):
     return str(obs)
 
 
-def small_sigma_file(tmp_path):
-    # the canonical noiseless design, every phase sigma 1e-150 rad
-    obs = tmp_path / "small_sigma.csv"
-    rows = [dataclasses.replace(o, phase_sigma=1e-150) for o in zero_noise_observations()]
-    write_observations(str(obs), rows)
-    return str(obs)
+def small_sigma_file(sigma):
+    """A writer of the canonical noiseless design with every phase sigma
+    sigma rad: below about 1e-155 chi^2's own sums leave the float range."""
+
+    def write(tmp_path):
+        obs = tmp_path / "small_sigma.csv"
+        rows = [dataclasses.replace(o, phase_sigma=sigma) for o in zero_noise_observations()]
+        write_observations(str(obs), rows)
+        return str(obs)
+
+    return write
 
 
 RANGE = "a number went out of the float range: "
@@ -1714,7 +1719,10 @@ OUT_OF_RANGE = {
         None, ["fit", "--obs", tiny_voltages_file], "out.json",
         "no observation has a nonzero U^2, so coeff_per_U2 does not affect the model",
     ),
-    "fit-sigma-1e-150": (None, ["fit", "--obs", small_sigma_file], "out.json", None),
+    "fit-sigma-1e-150": (None, ["fit", "--obs", small_sigma_file(1e-150)], "out.json", None),
+    "fit-sigma-1e-160": (None, ["fit", "--obs", small_sigma_file(1e-160)], "out.json", None),
+    "fit-sigma-1e-300": (None, ["fit", "--obs", small_sigma_file(1e-300)], "out.json", None),
+    "fit-sigma-5e-324": (None, ["fit", "--obs", small_sigma_file(5e-324)], "out.json", None),
 }
 
 
@@ -1738,6 +1746,51 @@ def test_out_of_range_numbers_keep_the_exit_contract(case, tmp_path, capsys):
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["converged"] is True
         assert all(math.isfinite(x) for x in numbers_in(report))
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(["constants"], "out.csv", id="constants-csv"),
+        pytest.param(["simulate", "--voltages", "0,100"], "out.csv", id="simulate-csv"),
+        pytest.param(["tune", "--pol-amplitude", "-100"], "out.json", id="tune-json"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_out_exits_2_with_one_line(argv, name, where, tmp_path, capsys):
+    out = tmp_path / "missing" / name if where == "missing-directory" else tmp_path
+    config = write_config(tmp_path, base_config())
+    assert main([argv[0], "--config", config, *argv[1:], "--out", str(out)]) == 2
+    assert_one_error_line(capsys, f"{out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alt.json"]
+
+
+def test_a_full_stdout_exits_2_with_one_line(config_path, monkeypatch, capsys):
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["tune", "--config", config_path, "--pol-amplitude", "-100", "--out", "-"]) == 2
+    assert_one_error_line(capsys, "-: No space left on device")
+
+
+def test_a_chi_square_beyond_the_float_range_is_written_as_null(tmp_path, capsys):
+    # misfits of 0.01 rad against phase sigmas of 1e-300 rad: chi^2 about 1e596
+    obs = tmp_path / "tiny_sigma.csv"
+    rows = [
+        dataclasses.replace(o, phase_meas=o.phase_meas + (-1) ** j * 0.01, phase_sigma=1e-300)
+        for j, o in enumerate(zero_noise_observations())
+    ]
+    write_observations(str(obs), rows)
+    out = tmp_path / "fit.json"
+    argv = ["fit", "--config", write_config(tmp_path, base_config()), "--obs", str(obs)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = strict_json(out.read_text(encoding="utf-8"))
+    assert report["converged"] is True
+    assert report["chi_square"] is None and report["reduced_chi_square"] is None
+    assert all(math.isfinite(x) for x in numbers_in(report))
 
 
 def test_narrow_beam_roberts_scan_exits_0_with_one_finite_row(tmp_path, capsys):

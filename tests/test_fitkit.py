@@ -290,6 +290,51 @@ def test_sigma_scaling_semantics():
     assert c_w2 == pytest.approx(c_b2, rel=1e-6)
 
 
+@pytest.mark.parametrize("power", [-300, -520, -1000])
+def test_sigmas_times_a_power_of_two_fit_bit_for_bit(power):
+    # every sigma times 2^power multiplies chi^2 by 2^(-2 power) and
+    # nothing else: the same steps, optimum and chi^2-scaled covariance,
+    # bit for bit, and chi^2 itself exact or, beyond the float range, inf
+    # (below 2^-512 or so chi^2's own sums would overflow)
+    rng = np.random.default_rng(11)
+    noisy = [
+        dataclasses.replace(
+            o,
+            phase_meas=o.phase_meas + rng.normal(0.0, PHASE_SIGMA),
+            vis_ratio=o.vis_ratio + rng.normal(0.0, VIS_SIGMA),
+        )
+        for o in zero_noise_observations()
+    ]
+    scaled = [
+        dataclasses.replace(
+            o, phase_sigma=math.ldexp(o.phase_sigma, power), vis_sigma=math.ldexp(o.vis_sigma, power)
+        )
+        for o in noisy
+    ]
+    base = af.fit(observation_set(noisy))
+    small = af.fit(observation_set(scaled))
+    assert base.converged and small.converged
+    for name in ("s_parallel", "coeff_per_U2", "iterations"):
+        assert getattr(small, name) == getattr(base, name)
+    assert small.covariance.tobytes() == base.covariance.tobytes()
+    assert small.residuals.tobytes() == base.residuals.tobytes()
+    with np.errstate(over="ignore"):
+        want = np.ldexp(base.cost_history, -2 * power).tolist()
+    assert list(small.cost_history) == want and small.chi_square == want[-1]
+    assert math.isinf(small.chi_square) == (power < -500)
+
+
+def test_phase_sigmas_of_1e200_leave_a_fit_to_the_visibilities():
+    # the phases weigh nothing, and the sums stay in chi^2's own units
+    rng = np.random.default_rng(3)
+    obs = [
+        dataclasses.replace(o, phase_sigma=1e200, vis_ratio=o.vis_ratio + rng.normal(0.0, VIS_SIGMA))
+        for o in zero_noise_observations()
+    ]
+    result = af.fit(observation_set(obs))
+    assert result.converged and 1.0 < result.chi_square < 100.0
+
+
 def test_jacobian_step_halving_consistency():
     # the exact Jacobian the fit uses agrees with forward differences
     ctx = model_context()

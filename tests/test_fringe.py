@@ -669,6 +669,29 @@ def test_midpoints_over_the_cap_are_refused_before_allocating(cap, midpoints, sc
     assert np.array_equal(af.averaged_fringe(DEEP_NULL, beam, scales=scales).phase_unwrapped, want)
 
 
+ADJACENT = [1.0, float(np.nextafter(1.0, 2.0))]
+
+
+# bytes recorded with the unwrap that ranked its path by a stable sort:
+# factor 0 goes before a requested 0.0 or -0.0 (one row, so one entry of
+# s), and the deep null bisects on both sides of factor 0
+@pytest.mark.parametrize(
+    "terms, s_par, scales, want",
+    [
+        ([T(-5.0)], 7.67, [-0.0, 1.0, 0.0, -0.5], ["0x0.0p+0", "-0x1.421f3613d5df5p+2", "0x0.0p+0", "0x1.429f12dca0610p+1"]),
+        ([T(-5.0)], 7.67, [0.0, -2.0, -0.0], ["0x0.0p+0", "0x1.404a227fe4a63p+3", "0x0.0p+0"]),
+        (DEEP_NULL, 8.0, [1.0, -0.0, 0.0, -1.0], ["-0x1.41c7c88e484a4p+6", "0x0.0p+0", "0x0.0p+0", "0x1.41c7c88e484a4p+6"]),
+        (DEEP_NULL, 8.0, [0.0, -1.0, -0.0, 1.0], ["0x0.0p+0", "0x1.41c7c88e484a4p+6", "0x0.0p+0", "-0x1.41c7c88e484a4p+6"]),
+        (DEEP_NULL, 8.0, ADJACENT, ["-0x1.41c7c88e484a4p+6", "-0x1.41c7c88e48587p+6"]),
+        ([T(-5.0)], 7.67, ADJACENT, ["-0x1.421f3613d5df5p+2", "-0x1.421f3613d5df6p+2"]),
+    ],
+)
+def test_factor_zero_ties_and_adjacent_factors_keep_their_bytes(terms, s_par, scales, want):
+    beam = af.BeamModel(u=BEAM.u, s_parallel=s_par)
+    got = af.averaged_fringe(terms, beam, scales=scales).phase_unwrapped
+    assert [x.hex() for x in got.tolist()] == want
+
+
 def test_unwrap_branches_match_the_recorded_corpus():
     # the 2 pi branches of _support.unwrap_corpus(2026, 1000), recorded by
     # the amplitude-continuation walk this unwrap replaced: every output of
