@@ -191,11 +191,10 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         chi2_scaling: bool = True) -> FitResult:
     """Joint weighted fit of (s_parallel, coeff_per_U2).
 
-    When the smallest phase sigma is below 0.5, the residuals, Jacobian
-    and costs are carried in units of the power of two that puts it in
-    [0.5, 1): the same steps and decisions, bit for bit, with sums that
-    stay finite for phase sigmas down to the smallest float.  chi_square
-    and cost_history are chi^2 itself, inf beyond the float range.
+    When the smallest phase sigma is below 0.5, r, J and the costs are
+    carried in units of the power of two that puts it in [0.5, 1): the
+    same steps, bit for bit, and sums finite down to the smallest float.
+    chi_square and cost_history read inf beyond the float range.
 
     Parameters
     ----------
@@ -239,10 +238,9 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     # optimize in initial-value units so both gradient components are
     # comparable
     scale = np.array([abs(s0), max(abs(c0), 1e-6)])
-    # r and J are 2^shift times chi^2's and a cost of one is a chi^2 of 1;
-    # a sigma that overflows these units is infinite, and its residual 0
+    # r and J are 2^shift times chi^2's, so a cost of `one` is a chi^2 of 1
     shift = min(power, 0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a sigma beyond these units weighs 0
         units = np.ldexp(sigmas, -shift)
     one = math.ldexp(1.0, 2 * shift)
 

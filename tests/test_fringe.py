@@ -678,12 +678,12 @@ ADJACENT = [1.0, float(np.nextafter(1.0, 2.0))]
 @pytest.mark.parametrize(
     "terms, s_par, scales, want",
     [
-        ([T(-5.0)], 7.67, [-0.0, 1.0, 0.0, -0.5], ["0x0.0p+0", "-0x1.421f3613d5df5p+2", "0x0.0p+0", "0x1.429f12dca0610p+1"]),
-        ([T(-5.0)], 7.67, [0.0, -2.0, -0.0], ["0x0.0p+0", "0x1.404a227fe4a63p+3", "0x0.0p+0"]),
-        (DEEP_NULL, 8.0, [1.0, -0.0, 0.0, -1.0], ["-0x1.41c7c88e484a4p+6", "0x0.0p+0", "0x0.0p+0", "0x1.41c7c88e484a4p+6"]),
-        (DEEP_NULL, 8.0, [0.0, -1.0, -0.0, 1.0], ["0x0.0p+0", "0x1.41c7c88e484a4p+6", "0x0.0p+0", "-0x1.41c7c88e484a4p+6"]),
-        (DEEP_NULL, 8.0, ADJACENT, ["-0x1.41c7c88e484a4p+6", "-0x1.41c7c88e48587p+6"]),
-        ([T(-5.0)], 7.67, ADJACENT, ["-0x1.421f3613d5df5p+2", "-0x1.421f3613d5df6p+2"]),
+        pytest.param([T(-5.0)], 7.67, [-0.0, 1.0, 0.0, -0.5], ["0x0.0p+0", "-0x1.421f3613d5df5p+2", "0x0.0p+0", "0x1.429f12dca0610p+1"], id="plain-zeros"),
+        pytest.param([T(-5.0)], 7.67, [0.0, -2.0, -0.0], ["0x0.0p+0", "0x1.404a227fe4a63p+3", "0x0.0p+0"], id="plain-zeros-negative"),
+        pytest.param(DEEP_NULL, 8.0, [1.0, -0.0, 0.0, -1.0], ["-0x1.41c7c88e484a4p+6", "0x0.0p+0", "0x0.0p+0", "0x1.41c7c88e484a4p+6"], id="deep-null-zeros"),
+        pytest.param(DEEP_NULL, 8.0, [0.0, -1.0, -0.0, 1.0], ["0x0.0p+0", "0x1.41c7c88e484a4p+6", "0x0.0p+0", "-0x1.41c7c88e484a4p+6"], id="deep-null-zeros-negative"),
+        pytest.param(DEEP_NULL, 8.0, ADJACENT, ["-0x1.41c7c88e484a4p+6", "-0x1.41c7c88e48587p+6"], id="deep-null-adjacent"),
+        pytest.param([T(-5.0)], 7.67, ADJACENT, ["-0x1.421f3613d5df5p+2", "-0x1.421f3613d5df6p+2"], id="plain-adjacent"),
     ],
 )
 def test_factor_zero_ties_and_adjacent_factors_keep_their_bytes(terms, s_par, scales, want):
