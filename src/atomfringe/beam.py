@@ -15,6 +15,7 @@ types defined here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,8 @@ class VelocitySupport:
     the beam: +/- width_sigmas Gaussian sigmas about the mean velocity,
     so one window follows a beam whose speed ratio changes (as in a fit).
 
-    node_count is the Gauss-Legendre order used on the window, 3 to
-    MAX_NODE_COUNT.
+    node_count is the Gauss-Legendre order used on the window, an
+    integer from 3 to MAX_NODE_COUNT.
     """
 
     width_sigmas: float = DEFAULT_WIDTH_SIGMAS
@@ -90,6 +91,12 @@ class VelocitySupport:
             raise ValueError(
                 f"width_sigmas must be positive and finite, got {self.width_sigmas}"
             )
+        # 257.0 and True compare as integers but cannot size the rule
+        node_count = self.node_count
+        if type(node_count) is not int and (
+            isinstance(node_count, bool) or not isinstance(node_count, numbers.Integral)
+        ):
+            raise ValueError(f"node_count must be an integer, got {node_count!r}")
         if self.node_count < 3:
             raise ValueError(f"node_count must be at least 3, got {self.node_count}")
         if self.node_count > MAX_NODE_COUNT:

@@ -128,6 +128,7 @@ class SyntheticDesign:
     A sigma of 0 means that channel is noiseless; its recorded sigma
     column falls back to 1 so the file still carries usable weights.
     Up to MAX_SWEEP_POINTS voltages; a voltage listed again is measured again.
+    Every field must be finite.
     """
 
     voltages: tuple[float, ...]
@@ -142,9 +143,13 @@ class SyntheticDesign:
             raise ValueError("design voltages must not be empty")
         if len(self.voltages) > MAX_SWEEP_POINTS:
             raise ValueError(f"design voltages_V holds more than {MAX_SWEEP_POINTS} entries")
+        for volt in self.voltages:
+            if not math.isfinite(volt):
+                raise ValueError(f"design voltages must be finite, got {volt}")
         for name in ("phase_sigma_base", "phase_sigma_per_rad", "vis_sigma", "rotation_jitter"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN too
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 # Every key a config or design file may hold: (section, key, kind, bound,

@@ -107,8 +107,8 @@ class ModelContext:
     support: VelocitySupport = VelocitySupport()
 
     def __post_init__(self):
-        if not self.beam_u > 0.0:
-            raise ValueError(f"beam_u must be positive, got {self.beam_u}")
+        if not 0.0 < self.beam_u < math.inf:
+            raise ValueError(f"beam_u must be positive and finite, got {self.beam_u}")
         if not math.isfinite(self.sagnac_amplitude_at_mean):
             raise ValueError(
                 f"sagnac_amplitude_at_mean must be finite, got {self.sagnac_amplitude_at_mean}"
@@ -134,7 +134,8 @@ class FitResult:
     """Optimum, covariance and per-observation residuals of one fit.
 
     residuals holds raw (phase, visibility) misfits per observation;
-    cost_history the weighted objective after each accepted step.
+    cost_history the weighted objective at the start point and after
+    each accepted step, so it holds iterations + 1 entries.
     """
 
     s_parallel: float

@@ -275,22 +275,6 @@ def _weighted_nodes(beam: BeamModel, support: VelocitySupport):
     return nodes
 
 
-def _phase_profile(terms, beam, support):
-    """The one pass over terms: (phi, w P, w_K P, w P d ln P / d S), where
-    phi = sum_e net_e (u/v)^e on every node (0 for no terms) and the rest
-    is _weighted_nodes(beam, support)."""
-    net = {}
-    for t in terms:
-        net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
-    powers, wp, wkp, wp_dlogp = _weighted_nodes(beam, support)
-    items = iter(net.items())
-    exponent, amplitude = next(items, (0, 0.0))
-    phi = amplitude * powers[exponent]
-    for exponent, amplitude in items:
-        phi += amplitude * powers[exponent]
-    return phi, wp, wkp, wp_dlogp
-
-
 def _exp_i(phase):
     """exp(i phase) elementwise in the half-angle form (see the module
     docstring), written into one complex buffer: exactly 1 + 0j at phase 0,
@@ -436,7 +420,16 @@ def averaged_fringe(
         scales = np.asarray(scales, dtype=float)
         if scales.ndim != 1 or scales.size == 0 or not np.isfinite(scales).all():
             raise ValueError("scales must be a non-empty sequence of finite numbers")
-    phi, wp, wkp, wp_dlogp = _phase_profile(terms, beam, support)
+    net = {}
+    for t in terms:
+        net[t.exponent] = net.get(t.exponent, 0.0) + t.amplitude_at_mean
+    powers, wp, wkp, wp_dlogp = _weighted_nodes(beam, support)
+    # phi = sum_e net_e (u/v)^e on every node, 0 for no terms
+    items = iter(net.items())
+    exponent, amplitude = next(items, (0, 0.0))
+    phi = amplitude * powers[exponent]
+    for exponent, amplitude in items:
+        phi += amplitude * powers[exponent]
     n = wp.size
     if scales is None:
         row = _exp_i(phi)
@@ -451,15 +444,9 @@ def averaged_fringe(
 
     # equal factors (0.0 and -0.0 too) share one row, so they give
     # bit-identical entries: s holds the distinct factors in ascending
-    # order, scales[j] == s[inv[j]]
-    order = scales.argsort(kind="stable")
-    ascending = scales[order]
-    first = np.empty(ascending.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
-    s = ascending[first]
-    inv = np.empty_like(order)
-    inv[order] = first.cumsum() - 1
+    # order, each as it first occurs, and scales[j] == s[inv[j]]
+    _, first, inv = np.unique(scales, return_index=True, return_inverse=True, equal_nan=False)
+    s = scales[first]
     rows = _exp_i(s[:, None] * phi)
     z = rows[:, :n] @ wp
     # each entry is checked and reported as its plain call is, in input
@@ -474,9 +461,7 @@ def averaged_fringe(
     if not unwrap:
         unwrapped = np.full(scales.size, math.nan)
     else:
-        distinct = np.empty(s.size)
-        distinct[inv] = principal
-        unwrapped = _unwrap(s, distinct, dlogz_dscale.imag, phi[:n], wp, weights[:, 0])[inv]
+        unwrapped = _unwrap(s, principal[first], dlogz_dscale.imag, phi[:n], wp, weights[:, 0])[inv]
     return FringeCurve(
         visibility=vis,
         phase=principal,

@@ -124,6 +124,15 @@ def test_support_validation(width, n, message):
         )
 
 
+@pytest.mark.parametrize("bad", [257.0, 3.5, True, "257"])
+def test_node_count_must_be_an_integer(bad):
+    # 257.0 and 3.5 used to build and fail in the average with numpy's
+    # "slice indices must be integers"
+    with pytest.raises(ValueError, match=f"node_count must be an integer, got {bad!r}"):
+        VelocitySupport(node_count=bad)
+    assert VelocitySupport(node_count=np.int64(257)) == VelocitySupport()
+
+
 def test_node_count_stops_at_the_largest_kronrod_rule_built():
     # above it Laurie's moments outgrow double precision: at n = 1075 the
     # Kronrod weights sum to 2 + 7e-5, and at 1100 the build itself fails

@@ -1866,3 +1866,21 @@ def test_missing_or_empty_observation_file_exits_2(content, words, config_path, 
 def test_design_built_from_python_refuses_a_negative_sigma(name):
     with pytest.raises(ValueError, match=f"{name} must be non-negative"):
         cli.SyntheticDesign(voltages=(100.0,), **{name: -0.01})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name", ["phase_sigma_base", "phase_sigma_per_rad", "vis_sigma", "rotation_jitter"]
+)
+def test_design_built_from_python_refuses_a_non_finite_sigma(name, bad):
+    # a NaN base used to build, and synth then wrote a noiseless set with
+    # every recorded phase sigma 1
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative and finite, got {bad}$"):
+        cli.SyntheticDesign(voltages=(100.0, 200.0, 300.0), **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_design_built_from_python_refuses_a_non_finite_voltage(bad):
+    # it used to fail later, in the velocity average's check of its factors
+    with pytest.raises(ValueError, match=f"^design voltages must be finite, got {bad}$"):
+        cli.SyntheticDesign(voltages=(100.0, bad, 300.0))

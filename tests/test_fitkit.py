@@ -53,6 +53,8 @@ def test_observation_set_validation():
 def test_non_finite_context_and_start_are_refused_by_name(bad):
     # each used to fail later with the message of a scales check
     obs = zero_noise_observations()
+    with pytest.raises(ValueError, match="beam_u must be positive and finite"):
+        dataclasses.replace(model_context(), beam_u=bad)
     with pytest.raises(ValueError, match="sagnac_amplitude_at_mean must be finite"):
         dataclasses.replace(model_context(), sagnac_amplitude_at_mean=bad)
     with pytest.raises(ValueError, match="initial coeff_per_U2 must be finite"):
@@ -363,6 +365,15 @@ def test_exact_jacobian_matches_forward_differences(s_par, coeff, ds, dc):
     J_exact, J_forward = exact_and_forward_jacobian(x, volts, ctx, ph, ra)
     scale = np.max(np.abs(J_exact), axis=0)
     assert np.max(np.abs(J_exact - J_forward) / scale) <= 1e-4
+
+
+def test_a_start_where_no_parameter_moves_the_model_has_no_covariance():
+    # at U = 0 the on state is the off state: every Jacobian entry is 0,
+    # the zero misfit stops the loop at once, and N = J^T J is zero
+    obs = (af.Observation(0.0, 0.0, PHASE_SIGMA, 1.0, VIS_SIGMA),) * 3
+    match = "^singular normal matrix at the optimum; covariance undefined$"
+    with pytest.raises(af.FitError, match=match):
+        af.fit(observation_set(obs), initial=(8.0, 1e-4))
 
 
 def test_uncertainties_require_convergence():

@@ -669,6 +669,15 @@ def test_midpoints_over_the_cap_are_refused_before_allocating(cap, midpoints, sc
     assert np.array_equal(af.averaged_fringe(DEEP_NULL, beam, scales=scales).phase_unwrapped, want)
 
 
+@pytest.mark.parametrize("scales", [None, [1.0]])
+def test_a_null_the_refine_passes_cannot_resolve_is_refused(scales, monkeypatch):
+    # the deep null needs 18 passes; with one it is still bisecting
+    beam = af.BeamModel(u=BEAM.u, s_parallel=8.0)
+    monkeypatch.setattr(fringe, "_MAX_REFINE_PASSES", 1)
+    with pytest.raises(af.QuadratureConvergenceError, match="^phase continuation did not stabilize;"):
+        af.averaged_fringe(DEEP_NULL, beam, scales=scales)
+
+
 ADJACENT = [1.0, float(np.nextafter(1.0, 2.0))]
 
 
