@@ -25,13 +25,16 @@ d ln Z / d s_parallel, their derivatives in the same pass.  The average
 runs on the context's VelocitySupport, a window relative to the beam,
 so it moves with each trial s_parallel.  Damping starts at 1e-3,
 divides by 3 on accepted steps and multiplies by 10 on rejections, so
-the objective never increases along the accepted sequence.  The
-converged flag means either the gradient criterion max|J^T r| <=
-1e-6 * max(1, chi^2) held at the reported optimum or the cost had
-stopped improving to float resolution over several accepted steps (an
-ftol-style exit; the remaining parameter motion is then far below the
-reported sigmas).  The covariance is the inverse Gauss-Newton normal
-matrix at the optimum, scaled by reduced chi-square unless disabled.
+the objective never increases along the accepted sequence; a parameter
+that does not move the model at the current point (a zero diagonal
+entry of N = J^T J) is damped with 1, as MINPACK's lmder does for a
+zero column.  The fit stops, converged, at the first accepted point
+where the undamped Gauss-Newton step promises a chi^2 decrease
+g^T N^-1 g <= 1e-13 * max(1, chi^2), g = J^T r; each parameter is then
+within sqrt(1e-13 * max(1, chi^2)) of its propagated sigma of the
+Gauss-Newton minimum.  Where N is singular it stops only if g is
+exactly 0.  The covariance is N^-1 at the optimum, scaled by reduced
+chi-square unless disabled.
 """
 
 from __future__ import annotations
@@ -56,12 +59,11 @@ __all__ = [
     "parameter_uncertainties",
 ]
 
-_GTOL = 1e-6
+_FTOL = 1e-13  # stop when a Gauss-Newton step promises less, relative to chi^2
 _LAM_INIT = 1e-3
 _LAM_ACCEPT = 1.0 / 3.0
 _LAM_REJECT = 10.0
 _LAM_MAX = 1e12
-_STALL_LIMIT = 3  # accepted steps with no measurable cost change
 
 
 class FitError(RuntimeError):
@@ -207,8 +209,8 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         scaled by the power of two that puts the smallest in [0.5, 1)
         (the same slope, with weights finite for any sigma).
     max_iterations : int
-        Levenberg-Marquardt iterations before giving up (converged =
-        False unless the gradient criterion happens to hold there).
+        Accepted Levenberg-Marquardt steps before giving up (converged =
+        False unless the stop test holds after the last of them).
     chi2_scaling : bool
         Scale the covariance by reduced chi-square (default) or report
         pure propagation of the quoted sigmas.
@@ -216,7 +218,7 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     Raises
     ------
     FitError
-        On a singular normal matrix, or for the default start when no U^2 is nonzero.
+        On a singular normal matrix at the optimum, or for the default start when no U^2 is nonzero.
     """
     obs = obs_set.observations
     context = obs_set.context
@@ -236,8 +238,7 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
         raise ValueError(f"initial s_parallel must be finite and exceed 1, got {s0}")
     if not math.isfinite(c0):
         raise ValueError(f"initial coeff_per_U2 must be finite, got {c0}")
-    # optimize in initial-value units so both gradient components are
-    # comparable
+    # optimize in initial-value units, where x starts at about (1, 1)
     scale = np.array([abs(s0), max(abs(c0), 1e-6)])
     # r and J are 2^shift times chi^2's, so a cost of `one` is a chi^2 of 1
     shift = min(power, 0)
@@ -260,19 +261,24 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
     cost = float(r @ r)
     history = [cost]
     lam = _LAM_INIT
-    stalls = 0
-    stalled = False
 
-    for _ in range(max_iterations):
+    while True:
+        # the accepted pass's J and r give the stop test and, at the
+        # reported optimum, the covariance: the undamped Gauss-Newton
+        # step would lower the cost by g^T N^-1 g
         g = J.T @ r
-        if np.max(np.abs(g)) <= _GTOL * max(one, cost):
-            break
         N = J.T @ J
+        try:
+            cov_x = np.linalg.inv(N)
+            converged = bool(g @ cov_x @ g <= _FTOL * max(one, cost))
+        except np.linalg.LinAlgError:
+            cov_x = None
+            converged = not g.any()
+        if converged or len(history) > max_iterations:
+            break
+        # a parameter that does not move the model here is damped with 1
         d = np.diag(N)
-        if np.any(d <= 0.0):
-            raise FitError(
-                "singular normal matrix: a parameter does not affect the model"
-            )
+        d = np.where(d > 0.0, d, 1.0)
         stepped = False
         while lam <= _LAM_MAX:
             try:
@@ -289,7 +295,6 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
                     trial = None
                 cost_try = float(trial[1] @ trial[1]) if trial is not None else math.inf
                 if cost_try <= cost:
-                    stalls = stalls + 1 if cost - cost_try <= 1e-14 * max(one, cost) else 0
                     x, cost = x_try, cost_try
                     misfit, r, J = trial
                     history.append(cost)
@@ -298,24 +303,10 @@ def fit(obs_set: ObservationSet, initial=None, *, max_iterations: int = 200,
                     break
             lam *= _LAM_REJECT
         if not stepped:
-            break  # damping exhausted; the final gradient test decides
-        if stalls >= _STALL_LIMIT:
-            # cost stopped improving to float resolution over several
-            # accepted steps: ftol-style convergence
-            stalled = True
-            break
+            break  # damping exhausted short of the stop test
 
-    # the accepted evaluation's Jacobian is the linearization at the
-    # reported optimum: convergence flag and covariance both come from it
-    g = J.T @ r
-    converged = stalled or bool(np.max(np.abs(g)) <= _GTOL * max(one, cost))
-    N = J.T @ J
-    try:
-        cov_x = np.linalg.inv(N)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(
-            "singular normal matrix at the optimum; covariance undefined"
-        ) from exc
+    if cov_x is None:
+        raise FitError("singular normal matrix at the optimum; covariance undefined")
     # r holds 2 entries per observation, so r.size >= 6
     cov_x = cov_x * (cost / (r.size - 2) if chi2_scaling else one)
     cov = np.diag(scale) @ cov_x @ np.diag(scale)

@@ -1726,6 +1726,8 @@ OUT_OF_RANGE = {
 }
 
 
+# default warning filters, so that main's own filter is what the test sees
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 @pytest.mark.parametrize("case", OUT_OF_RANGE)
 def test_out_of_range_numbers_keep_the_exit_contract(case, tmp_path, capsys):
     override, argv, name, line = OUT_OF_RANGE[case]

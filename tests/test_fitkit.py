@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import atomfringe as af
+from atomfringe import fitkit
 from atomfringe.cli import SyntheticDesign, generate_synthetic
+from atomfringe.fitkit import _model_pass
 from _support import (
     BEAM, C_TRUE, DESIGN, PHASE_SIGMA, S_TRUE, SAG_AMP, VIS_SIGMA, VOLTS,
     exact_and_forward_jacobian, model_context, observation_set, random_design,
@@ -376,6 +378,20 @@ def test_a_start_where_no_parameter_moves_the_model_has_no_covariance():
         af.fit(observation_set(obs), initial=(8.0, 1e-4))
 
 
+@pytest.mark.parametrize("start", [(8.0, 0.0), (7.0, 0.0), (8.0, 1e-300)])
+def test_a_start_where_the_speed_ratio_does_not_move_the_model_converges(start):
+    # at coeff_per_U2 0 every on state is the off state, so the
+    # s_parallel column of J vanishes there; damped with 1 in place of
+    # its zero diagonal entry, the first step moves only the coefficient
+    obs_set = observation_set(zero_noise_observations())
+    want = af.fit(obs_set, chi2_scaling=False)
+    got = af.fit(obs_set, initial=start, chi2_scaling=False)
+    assert got.converged
+    sigmas = np.array(af.parameter_uncertainties(want))
+    offset = np.array([got.s_parallel - want.s_parallel, got.coeff_per_U2 - want.coeff_per_U2])
+    assert np.all(np.abs(offset) <= 1e-6 * sigmas), offset / sigmas
+
+
 def test_uncertainties_require_convergence():
     res = af.fit(observation_set(zero_noise_observations()))
     stuck = af.FitResult(
@@ -452,6 +468,33 @@ def test_sigmas_are_calibrated_on_the_canonical_design():
     assert np.all(np.abs(pulls.mean(axis=0)) <= 5.0 / math.sqrt(n)), pulls.mean(axis=0)
     assert np.all(np.abs(pulls.std(axis=0) - 1.0) <= 5.0 / math.sqrt(2 * n)), pulls.std(axis=0)
     assert abs(np.mean(chi2) - dof) <= 5.0 * math.sqrt(2 * dof / n), np.mean(chi2)
+
+
+def test_canonical_fits_converge_within_five_model_passes(monkeypatch):
+    # synth seeds 0-79 of the canonical design: each fit stops within 5
+    # model passes (the start and 4 trials), where an undamped
+    # Gauss-Newton step, rebuilt here from the model at the reported
+    # optimum, would lower chi^2 by at most 1e-13 * max(1, chi^2)
+    passes = [0]
+
+    def counted(*args):
+        passes[0] += 1
+        return _model_pass(*args)
+
+    monkeypatch.setattr(fitkit, "_model_pass", counted)
+    sigmas = np.array([PHASE_SIGMA, VIS_SIGMA])
+    u2 = np.array(VOLTS) ** 2
+    for seed in range(80):
+        config = run_config(seed)
+        obs_set = af.ObservationSet(generate_synthetic(config, DESIGN), config.model_context())
+        passes[0] = 0
+        result = af.fit(obs_set, chi2_scaling=False)
+        assert result.converged and passes[0] <= 5, (seed, passes[0])
+        _, dmodel = _model_pass(result.s_parallel, result.coeff_per_U2, u2, obs_set.context)
+        r = (result.residuals / sigmas).ravel()
+        J = (-dmodel / sigmas[:, None]).reshape(-1, 2)
+        g = J.T @ r
+        assert g @ np.linalg.solve(J.T @ J, g) <= 1e-13 * max(1.0, result.chi_square), seed
 
 
 def test_random_designs_converge_with_calibrated_sigmas():
